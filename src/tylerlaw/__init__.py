@@ -9,95 +9,21 @@ seeded Monte Carlo harness (plus the ``tylerlaw`` CLI) runs reproducible
 sweeps over (d, n) schedules.
 """
 
-from .estimators import (
-    NoConvergenceError,
-    SingularShapeError,
-    TylerReport,
-    sample_covariance,
-    tyler,
-    tyler_residual,
-)
-from .harness import (
-    EstimatorResult,
-    ExperimentConfig,
-    PairSummary,
-    PopulationTemplate,
-    SweepResult,
-    SweepSummary,
-    TrialResult,
-    mp_schedule,
-    read_trials,
-    run_sweep,
-    run_trial,
-    semicircle_schedule,
-    summarize_sweep,
-    write_results,
-)
-from .laws import MarchenkoPastur, ReferenceLaw, Semicircle, semicircle_moment
-from .metrics import SpectralSummary, esd_moment, ks_distance, summarize
-from .sampling import (
-    ChiRadius,
-    ConstantRadius,
-    Coupling,
-    DegenerateDrawError,
-    PopulationSpec,
-    RadialLaw,
-    ScaledFRootRadius,
-    SignedChiRadius,
-    derive_seed,
-    sample_population,
-    sample_radius,
-    sample_unit_sphere,
-    splitmix64,
-)
-from .spectral import esd_eval, spectral_norm, standardize, symmetric_eigenvalues
+from . import estimators, harness, laws, metrics, sampling, spectral
+from .estimators import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .laws import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from .spectral import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChiRadius",
-    "ScaledFRootRadius",
-    "ConstantRadius",
-    "SignedChiRadius",
-    "RadialLaw",
-    "Coupling",
-    "PopulationSpec",
-    "DegenerateDrawError",
-    "sample_unit_sphere",
-    "sample_radius",
-    "sample_population",
-    "splitmix64",
-    "derive_seed",
-    "sample_covariance",
-    "tyler",
-    "tyler_residual",
-    "TylerReport",
-    "NoConvergenceError",
-    "SingularShapeError",
-    "symmetric_eigenvalues",
-    "spectral_norm",
-    "standardize",
-    "esd_eval",
-    "Semicircle",
-    "MarchenkoPastur",
-    "ReferenceLaw",
-    "semicircle_moment",
-    "SpectralSummary",
-    "ks_distance",
-    "esd_moment",
-    "summarize",
-    "PopulationTemplate",
-    "ExperimentConfig",
-    "EstimatorResult",
-    "TrialResult",
-    "PairSummary",
-    "SweepSummary",
-    "SweepResult",
-    "semicircle_schedule",
-    "mp_schedule",
-    "run_trial",
-    "run_sweep",
-    "summarize_sweep",
-    "write_results",
-    "read_trials",
+    *sampling.__all__,
+    *estimators.__all__,
+    *spectral.__all__,
+    *laws.__all__,
+    *metrics.__all__,
+    *harness.__all__,
 ]

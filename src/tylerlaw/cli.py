@@ -27,15 +27,20 @@ import numpy as np
 from .estimators import NoConvergenceError, SingularShapeError, tyler
 from .harness import (
     ExperimentConfig,
-    PopulationTemplate,
     SweepResult,
     run_sweep,
     run_trial,
     summarize_sweep,
     write_results,
 )
-from .laws import MarchenkoPastur, Semicircle
-from .sampling import Coupling, DegenerateDrawError, sample_population
+from .laws import REFERENCE_LAWS, law_from_dict
+from .sampling import (
+    RADIAL_KINDS,
+    Coupling,
+    DegenerateDrawError,
+    PopulationTemplate,
+    sample_population,
+)
 from .spectral import standardize, symmetric_eigenvalues
 
 _FMT = "%.17g"
@@ -50,15 +55,8 @@ def _save_matrix(path, M: np.ndarray):
 
 
 def _cmd_sample(args) -> int:
-    template = PopulationTemplate(
-        radial=args.radial,
-        coupling=Coupling(args.coupling),
-        p=args.radial_p,
-        c=args.radial_c,
-    )
-    spec = template.instantiate(args.dim, args.seed)
-    X = sample_population(spec, args.n)
-    _save_matrix(args.out, X)
+    template = PopulationTemplate(args.radial, Coupling(args.coupling), p=args.radial_p, c=args.radial_c)
+    _save_matrix(args.out, sample_population(template.instantiate(args.dim, args.seed), args.n))
     return 0
 
 
@@ -66,14 +64,9 @@ def _cmd_tyler(args) -> int:
     X = _load_matrix(args.infile)
     report = tyler(X, tol=args.tol, max_iter=args.max_iter)
     _save_matrix(args.out, report.estimate)
-    diag = {
-        "d": int(X.shape[0]),
-        "n": int(X.shape[1]),
-        "iterations": report.iterations,
-        "residual": report.residual,
-        "converged": report.converged,
-        "boundary_regime": report.boundary_regime,
-    }
+    d, n = X.shape
+    diag = dict(d=int(d), n=int(n), iterations=report.iterations, residual=report.residual,
+                converged=report.converged, boundary_regime=report.boundary_regime)
     print(json.dumps(diag, sort_keys=True), file=sys.stderr)
     return 0
 
@@ -84,11 +77,8 @@ def _cmd_spectrum(args) -> int:
         if args.n is None:
             raise ValueError("--standardize requires --n (the sample size)")
         A = standardize(A, args.n)
-    lam = symmetric_eigenvalues(A)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("eigenvalue\n")
-        for v in lam:
-            fh.write(f"{v:.17g}\n")
+        fh.write("eigenvalue\n" + "".join(f"{v:.17g}\n" for v in symmetric_eigenvalues(A)))
     return 0
 
 
@@ -104,12 +94,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _cmd_law(args) -> int:
-    if args.law == "semicircle":
-        law = Semicircle()
-    else:
-        if args.y is None:
-            raise ValueError("--law mp requires --y")
-        law = MarchenkoPastur(args.y)
+    params = {"y": args.y} if args.y is not None else {}
+    law = law_from_dict({"law": args.law, **params})
     grid = _parse_grid(args.grid)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("x,pdf,cdf\n")
@@ -122,18 +108,22 @@ def _cmd_law(args) -> int:
     return 0
 
 
-def _cmd_trial(args) -> int:
+def _load_config(args) -> tuple[ExperimentConfig, str]:
     cfg = ExperimentConfig.from_json_file(args.config)
+    out = args.out or cfg.out
+    if out is None:
+        raise ValueError("no output directory: pass --out or set 'out' in the config")
+    return cfg, out
+
+
+def _cmd_trial(args) -> int:
+    cfg, out = _load_config(args)
     if not 0 <= args.pair < len(cfg.schedule):
         raise ValueError(f"--pair must index the schedule (0..{len(cfg.schedule) - 1})")
     if not 0 <= args.replicate < cfg.replicates:
         raise ValueError(f"--replicate must be in 0..{cfg.replicates - 1}")
     trial = run_trial(cfg, args.pair, args.replicate)
-    result = SweepResult(config=cfg, trials=[trial], summary=summarize_sweep(cfg, [trial]))
-    out = args.out or cfg.out
-    if out is None:
-        raise ValueError("no output directory: pass --out or set 'out' in the config")
-    write_results(result, out)
+    write_results(SweepResult(config=cfg, trials=[trial], summary=summarize_sweep(cfg, [trial])), out)
     if trial.failed:
         print(f"trial failed: {trial.error}", file=sys.stderr)
         return 3
@@ -141,13 +131,10 @@ def _cmd_trial(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = ExperimentConfig.from_json_file(args.config)
+    cfg, out = _load_config(args)
     result = run_sweep(cfg, n_jobs=args.jobs)
-    out = args.out or cfg.out
-    if out is None:
-        raise ValueError("no output directory: pass --out or set 'out' in the config")
     write_results(result, out)
-    if result.trials and all(t.failed for t in result.trials):
+    if all(t.failed for t in result.trials):
         print("all trials failed", file=sys.stderr)
         return 3
     return 0
@@ -163,18 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a population sample as a d x n CSV matrix")
     p.add_argument("--dim", type=int, required=True, help="dimension d")
     p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument(
-        "--radial",
-        choices=["chi", "scaled-f-root", "constant", "signed-chi"],
-        required=True,
-        help="radial law; chi/signed-chi/scaled-f-root tie their df to --dim",
-    )
+    p.add_argument("--radial", choices=list(RADIAL_KINDS), required=True,
+                   help="radial law; chi/signed-chi/scaled-f-root tie their df to --dim")
     p.add_argument("--radial-p", type=int, default=None, help="scaled-f-root denominator df")
     p.add_argument("--radial-c", type=float, default=None, help="constant radius value")
-    p.add_argument(
-        "--coupling", choices=["independent", "sign-u1"], default="independent",
-        help="dependence of the radius on the sphere draw",
-    )
+    p.add_argument("--coupling", choices=[c.value for c in Coupling], default=Coupling.INDEPENDENT.value,
+                   help="dependence of the radius on the sphere draw")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sample)
@@ -194,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("law", help="tabulate (x, pdf, cdf) of a reference law")
-    p.add_argument("--law", choices=["semicircle", "mp"], required=True)
+    p.add_argument("--law", choices=list(REFERENCE_LAWS), required=True)
     p.add_argument("--y", type=float, default=None, help="MP ratio y (mp only)")
     p.add_argument("--grid", required=True, help="evaluation grid LO:HI:STEP")
     p.add_argument("--out", required=True, help="output CSV path")
@@ -224,13 +205,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (
-        NoConvergenceError,
-        SingularShapeError,
-        DegenerateDrawError,
-        OverflowError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except (NoConvergenceError, SingularShapeError, DegenerateDrawError, OverflowError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

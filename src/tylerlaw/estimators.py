@@ -13,12 +13,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 __all__ = [
-    "TylerReport",
-    "NoConvergenceError",
-    "SingularShapeError",
-    "sample_covariance",
-    "tyler",
-    "tyler_residual",
+    "TylerReport", "NoConvergenceError", "SingularShapeError", "sample_covariance", "tyler",
+    "tyler_residual"
 ]
 
 # Condition numbers above this mark a shape matrix as numerically singular.
@@ -150,16 +146,20 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         j = int(np.argmin(norms))
         raise ValueError(f"zero-column: column {j} of the data matrix is zero")
 
-    def _partial(omega, iterations, steps):
+    def _report(omega, iterations, converged):
+        # a failed fit still reports its partial state; an unevaluable
+        # residual there is inf rather than a second error
         try:
-            res = tyler_residual(X, omega)
+            residual = tyler_residual(X, omega)
         except SingularShapeError:
-            res = float("inf")
+            if converged:
+                raise
+            residual = float("inf")
         return TylerReport(
             estimate=omega,
             iterations=iterations,
-            residual=res,
-            converged=False,
+            residual=residual,
+            converged=converged,
             step_history=tuple(steps),
             boundary_regime=(n == d),
         )
@@ -167,8 +167,6 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     omega = np.eye(d)
     steps: list[float] = []
     jitter_used = False
-    converged = False
-    iterations = 0
 
     for iterations in range(1, max_iter + 1):
         jittered_now = False
@@ -179,18 +177,17 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
                 raise NoConvergenceError(
                     "no-convergence: iterate lost positive definiteness twice "
                     "(columns may be concentrated on a subspace)",
-                    _partial(omega, iterations - 1, steps),
+                    _report(omega, iterations - 1, False),
                 ) from None
             # one-shot diagonal jitter, then give up on the next breakdown
-            jitter_used = True
-            jittered_now = True
+            jitter_used = jittered_now = True
             omega = omega + (1e-12 * d) * np.eye(d)
             try:
                 nxt = _tyler_rhs(X, omega)
             except LinAlgError:
                 raise NoConvergenceError(
                     "no-convergence: iterate not positive definite after jitter",
-                    _partial(omega, iterations - 1, steps),
+                    _report(omega, iterations - 1, False),
                 ) from None
         nxt *= d / np.trace(nxt)
         delta = np.linalg.norm(nxt - omega, "fro") / np.linalg.norm(omega, "fro")
@@ -198,22 +195,11 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         omega = nxt
         # a jittered step moved the iterate artificially; never accept it
         if delta <= tol and not jittered_now:
-            converged = True
-            break
+            return _report(omega, iterations, True)
 
-    if not converged:
-        raise NoConvergenceError(
-            f"no-convergence: {max_iter} iterations without meeting tol={tol}",
-            _partial(omega, iterations, steps),
-        )
-
-    return TylerReport(
-        estimate=omega,
-        iterations=iterations,
-        residual=tyler_residual(X, omega),
-        converged=True,
-        step_history=tuple(steps),
-        boundary_regime=(n == d),
+    raise NoConvergenceError(
+        f"no-convergence: {max_iter} iterations without meeting tol={tol}",
+        _report(omega, max_iter, False),
     )
 
 

@@ -50,40 +50,19 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import SCHEMA_VERSION, Record, check_keys
 from .estimators import sample_covariance, tyler
-from .laws import MarchenkoPastur, ReferenceLaw, Semicircle
+from .laws import ReferenceLaw, Semicircle, law_from_dict, law_to_dict
 from .metrics import SpectralSummary, summarize
-from .sampling import (
-    ChiRadius,
-    ConstantRadius,
-    Coupling,
-    PopulationSpec,
-    ScaledFRootRadius,
-    SignedChiRadius,
-    derive_seed,
-    sample_population,
-)
+from .sampling import PopulationTemplate, derive_seed, sample_population
 from .spectral import spectral_norm, standardize, symmetric_eigenvalues
 
 __all__ = [
-    "PopulationTemplate",
-    "ExperimentConfig",
-    "EstimatorResult",
-    "TrialResult",
-    "PairSummary",
-    "SweepSummary",
-    "SweepResult",
-    "semicircle_schedule",
-    "mp_schedule",
-    "run_trial",
-    "run_sweep",
-    "summarize_sweep",
-    "write_results",
+    "ExperimentConfig", "EstimatorResult", "TrialResult", "PairSummary", "SweepSummary",
+    "SweepResult", "semicircle_schedule", "mp_schedule", "run_trial", "run_sweep",
+    "summarize_sweep", "write_results", "read_trials"
 ]
 
-SCHEMA_VERSION = 1
-
-_RADIAL_KINDS = ("chi", "scaled-f-root", "constant", "signed-chi")
 _ESTIMATOR_TAGS = ("covariance", "tyler")
 
 
@@ -97,112 +76,38 @@ def mp_schedule(dims) -> tuple[tuple[int, int], ...]:
     return tuple((int(d), 4 * int(d)) for d in dims)
 
 
-def _check_keys(d: dict, allowed: set[str], where: str):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-@dataclass(frozen=True)
-class PopulationTemplate:
-    """Population family with the dimension left open.
-
-    The radial degrees of freedom track the dimension: ``chi`` at dimension
-    d uses chi2_d (standard normal population), ``scaled-f-root`` uses
-    sqrt(d F_{d,p}) (d-dimensional t with p degrees of freedom), and
-    ``signed-chi`` the sign-symmetrized chi.  ``constant`` uses the fixed
-    radius ``c``.
-    """
-
-    radial: str
-    coupling: Coupling = Coupling.INDEPENDENT
-    p: int | None = None
-    c: float | None = None
-
-    def __post_init__(self):
-        if self.radial not in _RADIAL_KINDS:
-            raise ValueError(f"radial must be one of {_RADIAL_KINDS}, got {self.radial!r}")
-        if self.radial == "scaled-f-root" and (self.p is None or self.p < 1):
-            raise ValueError("scaled-f-root requires a positive integer 'p'")
-        if self.radial == "constant" and (self.c is None or self.c == 0):
-            raise ValueError("constant requires a nonzero 'c'")
-
-    def instantiate(self, dim: int, seed: int) -> PopulationSpec:
-        if self.radial == "chi":
-            law = ChiRadius(dim)
-        elif self.radial == "scaled-f-root":
-            law = ScaledFRootRadius(dim, self.p)
-        elif self.radial == "signed-chi":
-            law = SignedChiRadius(dim)
-        else:
-            law = ConstantRadius(self.c)
-        return PopulationSpec(dim=dim, radial=law, coupling=self.coupling, seed=seed)
-
-    def to_dict(self) -> dict:
-        out: dict = {"radial": self.radial, "coupling": self.coupling.value}
-        if self.p is not None:
-            out["p"] = int(self.p)
-        if self.c is not None:
-            out["c"] = float(self.c)
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PopulationTemplate":
-        _check_keys(d, {"radial", "coupling", "p", "c"}, "population")
-        if "radial" not in d:
-            raise ValueError("population requires a 'radial' key")
-        return cls(
-            radial=d["radial"],
-            coupling=Coupling(d.get("coupling", "independent")),
-            p=d.get("p"),
-            c=d.get("c"),
-        )
-
-
-def _reference_to_dict(law: ReferenceLaw) -> dict:
-    if isinstance(law, Semicircle):
-        return {"law": "semicircle"}
-    return {"law": "mp", "y": float(law.y)}
-
-
-def _reference_from_dict(d: dict) -> ReferenceLaw:
-    _check_keys(d, {"law", "y"}, "reference")
-    kind = d.get("law")
-    if kind == "semicircle":
-        return Semicircle()
-    if kind == "mp":
-        if "y" not in d:
-            raise ValueError("reference law 'mp' requires 'y'")
-        return MarchenkoPastur(float(d["y"]))
-    raise ValueError(f"reference law must be 'semicircle' or 'mp', got {kind!r}")
+_PRESETS = {"semicircle": semicircle_schedule, "mp": mp_schedule}
 
 
 def _schedule_from_config(spec) -> tuple[tuple[int, int], ...]:
     if isinstance(spec, dict):
-        _check_keys(spec, {"preset", "dims"}, "schedule")
-        preset, dims = spec.get("preset"), spec.get("dims")
-        if preset == "semicircle":
-            return semicircle_schedule(dims)
-        if preset == "mp":
-            return mp_schedule(dims)
-        raise ValueError(f"schedule preset must be 'semicircle' or 'mp', got {preset!r}")
+        check_keys(spec, {"preset", "dims"}, "schedule")
+        preset = spec.get("preset")
+        if preset not in _PRESETS:
+            raise ValueError(f"schedule preset must be one of {tuple(_PRESETS)}, got {preset!r}")
+        return _PRESETS[preset](spec.get("dims"))
     return tuple((int(d), int(n)) for d, n in spec)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Full description of one sweep; see the module docstring for the JSON form."""
 
+    _where = "config"
+    _omit_none = True
+
     population: PopulationTemplate
-    schedule: tuple[tuple[int, int], ...]
+    schedule: tuple[tuple[int, int], ...] = field(metadata={"decode": _schedule_from_config})
     replicates: int
     estimators: tuple[str, ...] = ("tyler",)
     standardized: bool = True
-    reference: ReferenceLaw = Semicircle()
+    reference: ReferenceLaw = field(
+        default=Semicircle(), metadata={"encode": law_to_dict, "decode": law_from_dict}
+    )
     max_moment: int = 6
     base_seed: int = 0
-    tol: float = 1e-9
-    max_iter: int = 1000
+    tol: float = field(default=1e-9, metadata={"group": "tyler"})
+    max_iter: int = field(default=1000, metadata={"group": "tyler"})
     save_spectra: bool = False
     out: str | None = None
 
@@ -229,62 +134,6 @@ class ExperimentConfig:
                     f"schedule pair ({d}, {n}) has n < d; Tyler's estimator requires n >= d"
                 )
 
-    def to_dict(self) -> dict:
-        out = {
-            "population": self.population.to_dict(),
-            "schedule": [[d, n] for d, n in self.schedule],
-            "replicates": int(self.replicates),
-            "estimators": list(self.estimators),
-            "standardized": bool(self.standardized),
-            "reference": _reference_to_dict(self.reference),
-            "max_moment": int(self.max_moment),
-            "base_seed": int(self.base_seed),
-            "tyler": {"tol": float(self.tol), "max_iter": int(self.max_iter)},
-            "save_spectra": bool(self.save_spectra),
-        }
-        if self.out is not None:
-            out["out"] = self.out
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _check_keys(
-            d,
-            {
-                "population",
-                "schedule",
-                "replicates",
-                "estimators",
-                "standardized",
-                "reference",
-                "max_moment",
-                "base_seed",
-                "tyler",
-                "save_spectra",
-                "out",
-            },
-            "config",
-        )
-        for key in ("population", "schedule", "replicates"):
-            if key not in d:
-                raise ValueError(f"config requires the '{key}' key")
-        tyler_cfg = d.get("tyler", {})
-        _check_keys(tyler_cfg, {"tol", "max_iter"}, "tyler")
-        return cls(
-            population=PopulationTemplate.from_dict(d["population"]),
-            schedule=_schedule_from_config(d["schedule"]),
-            replicates=int(d["replicates"]),
-            estimators=tuple(d.get("estimators", ("tyler",))),
-            standardized=bool(d.get("standardized", True)),
-            reference=_reference_from_dict(d.get("reference", {"law": "semicircle"})),
-            max_moment=int(d.get("max_moment", 6)),
-            base_seed=int(d.get("base_seed", 0)),
-            tol=float(tyler_cfg.get("tol", 1e-9)),
-            max_iter=int(tyler_cfg.get("max_iter", 1000)),
-            save_spectra=bool(d.get("save_spectra", False)),
-            out=d.get("out"),
-        )
-
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         try:
@@ -298,7 +147,7 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class EstimatorResult:
+class EstimatorResult(Record):
     """One estimator's spectral summary plus its solver diagnostics."""
 
     summary: SpectralSummary
@@ -306,26 +155,9 @@ class EstimatorResult:
     residual: float | None = None
     converged: bool | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "summary": self.summary.to_dict(),
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EstimatorResult":
-        return cls(
-            summary=SpectralSummary.from_dict(d["summary"]),
-            iterations=d.get("iterations"),
-            residual=d.get("residual"),
-            converged=d.get("converged"),
-        )
-
 
 @dataclass
-class TrialResult:
+class TrialResult(Record):
     """Outcome of one (pair, replicate) trial.
 
     ``results`` maps estimator tags to their summaries; ``cross_norm`` is
@@ -335,6 +167,8 @@ class TrialResult:
     excluded from equality and from trials.json so that identical configs
     persist byte-identically.
     """
+
+    _schema = True
 
     pair_index: int
     replicate: int
@@ -354,32 +188,6 @@ class TrialResult:
     def trial_id(self) -> str:
         return f"pair{self.pair_index:03d}_rep{self.replicate:03d}"
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "pair_index": int(self.pair_index),
-            "replicate": int(self.replicate),
-            "d": int(self.d),
-            "n": int(self.n),
-            "seed": int(self.seed),
-            "results": {tag: r.to_dict() for tag, r in sorted(self.results.items())},
-            "cross_norm": self.cross_norm,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialResult":
-        return cls(
-            pair_index=d["pair_index"],
-            replicate=d["replicate"],
-            d=d["d"],
-            n=d["n"],
-            seed=d["seed"],
-            results={tag: EstimatorResult.from_dict(r) for tag, r in d["results"].items()},
-            cross_norm=d.get("cross_norm"),
-            error=d.get("error"),
-        )
-
     def to_json_line(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
@@ -393,57 +201,34 @@ def run_trial(cfg: ExperimentConfig, pair_index: int, replicate: int) -> TrialRe
     d, n = cfg.schedule[pair_index]
     seed = derive_seed(cfg.base_seed, pair_index, replicate)
     start = time.perf_counter()
-    results: dict[str, EstimatorResult] = {}
-    spectra: dict[str, np.ndarray] = {}
-    cross: float | None = None
-    error: str | None = None
+    trial = TrialResult(pair_index=pair_index, replicate=replicate, d=d, n=n, seed=seed, results={})
     try:
-        pop = cfg.population.instantiate(d, seed)
-        X = sample_population(pop, n)
+        X = sample_population(cfg.population.instantiate(d, seed), n)
         mats: dict[str, np.ndarray] = {}
+        spectra: dict[str, np.ndarray] = {}
         for tag in cfg.estimators:
+            diag = {}
             if tag == "covariance":
                 mats[tag] = sample_covariance(X)
-                diag = (None, None, None)
             else:
                 report = tyler(X, tol=cfg.tol, max_iter=cfg.max_iter)
                 mats[tag] = report.estimate
-                diag = (report.iterations, report.residual, report.converged)
+                diag = dict(iterations=report.iterations, residual=report.residual, converged=report.converged)
             A = standardize(mats[tag], n) if cfg.standardized else mats[tag]
-            lam = symmetric_eigenvalues(A)
-            spectra[tag] = lam
-            results[tag] = EstimatorResult(
-                summary=summarize(lam, cfg.reference, cfg.max_moment),
-                iterations=diag[0],
-                residual=diag[1],
-                converged=diag[2],
-            )
+            spectra[tag] = symmetric_eigenvalues(A)
+            trial.results[tag] = EstimatorResult(summarize(spectra[tag], cfg.reference, cfg.max_moment), **diag)
         if "covariance" in mats and "tyler" in mats:
-            cross = float(
-                spectral_norm(np.sqrt(n / d) * (mats["tyler"] - mats["covariance"]))
-            )
+            trial.cross_norm = float(spectral_norm(np.sqrt(n / d) * (mats["tyler"] - mats["covariance"])))
+        trial.spectra = spectra if cfg.save_spectra else None
     except (ValueError, OverflowError, RuntimeError, np.linalg.LinAlgError) as exc:
-        results = {}
-        spectra = {}
-        cross = None
-        error = f"{type(exc).__name__}: {exc}"
-    wall = time.perf_counter() - start
-    return TrialResult(
-        pair_index=pair_index,
-        replicate=replicate,
-        d=d,
-        n=n,
-        seed=seed,
-        results=results,
-        cross_norm=cross,
-        error=error,
-        wall_time=wall,
-        spectra=spectra if cfg.save_spectra and not error else None,
-    )
+        trial.results, trial.cross_norm = {}, None
+        trial.error = f"{type(exc).__name__}: {exc}"
+    trial.wall_time = time.perf_counter() - start
+    return trial
 
 
 @dataclass
-class PairSummary:
+class PairSummary(Record):
     """Aggregates over the successful replicates of one (d, n) pair."""
 
     pair_index: int
@@ -456,37 +241,17 @@ class PairSummary:
     cross_norm_mean: float | None = None
     cross_norm_var: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "pair_index": self.pair_index,
-            "d": self.d,
-            "n": self.n,
-            "trials": self.trials,
-            "failed": self.failed,
-            "estimators": self.estimators,
-            "cross_norm_median": self.cross_norm_median,
-            "cross_norm_mean": self.cross_norm_mean,
-            "cross_norm_var": self.cross_norm_var,
-        }
-
 
 @dataclass
-class SweepSummary:
+class SweepSummary(Record):
     """Per-pair aggregates plus the log-variance slope probe."""
+
+    _schema = True
 
     pairs: list[PairSummary]
     total_trials: int
     total_failed: int
     variance_slope: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "pairs": [p.to_dict() for p in self.pairs],
-            "total_trials": self.total_trials,
-            "total_failed": self.total_failed,
-            "variance_slope": self.variance_slope,
-        }
 
 
 @dataclass
@@ -497,19 +262,18 @@ class SweepResult:
 
 
 def _estimator_aggregates(records: list[EstimatorResult]) -> dict:
-    ks = np.array([r.summary.ks for r in records])
-    lmin = np.array([r.summary.lambda_min for r in records])
-    lmax = np.array([r.summary.lambda_max for r in records])
-    snorm = np.array([r.summary.spectral_norm for r in records])
-    moments = np.array([r.summary.moments for r in records])
+    def column(name):
+        return np.array([getattr(r.summary, name) for r in records])
+
+    ks, snorm = column("ks"), column("spectral_norm")
     return {
         "ks_median": float(np.median(ks)),
         "ks_mean": float(np.mean(ks)),
-        "lambda_min_median": float(np.median(lmin)),
-        "lambda_max_median": float(np.median(lmax)),
+        "lambda_min_median": float(np.median(column("lambda_min"))),
+        "lambda_max_median": float(np.median(column("lambda_max"))),
         "spectral_norm_median": float(np.median(snorm)),
         "spectral_norm_mean": float(np.mean(snorm)),
-        "moments_median": [float(v) for v in np.median(moments, axis=0)],
+        "moments_median": [float(v) for v in np.median(column("moments"), axis=0)],
     }
 
 
@@ -525,14 +289,7 @@ def summarize_sweep(cfg: ExperimentConfig, trials: list[TrialResult]) -> SweepSu
             records = [t.results[tag] for t in ok if tag in t.results]
             if records:
                 est[tag] = _estimator_aggregates(records)
-        ps = PairSummary(
-            pair_index=i,
-            d=d,
-            n=n,
-            trials=len(mine),
-            failed=len(mine) - len(ok),
-            estimators=est,
-        )
+        ps = PairSummary(pair_index=i, d=d, n=n, trials=len(mine), failed=len(mine) - len(ok), estimators=est)
         crosses = np.array([t.cross_norm for t in ok if t.cross_norm is not None])
         if crosses.size:
             ps.cross_norm_median = float(np.median(crosses))
@@ -548,12 +305,8 @@ def summarize_sweep(cfg: ExperimentConfig, trials: list[TrialResult]) -> SweepSu
         logv = np.log([v for _, v in var_points])
         slope = float(np.polyfit(logd, logv, 1)[0])
 
-    return SweepSummary(
-        pairs=pairs,
-        total_trials=len(trials),
-        total_failed=sum(1 for t in trials if t.failed),
-        variance_slope=slope,
-    )
+    failed = sum(1 for t in trials if t.failed)
+    return SweepSummary(pairs=pairs, total_trials=len(trials), total_failed=failed, variance_slope=slope)
 
 
 def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
@@ -562,9 +315,9 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
     Each trial derives its own seed, so any execution order yields the same
     records; results are sorted by (pair, replicate) before aggregation.
     """
-    tasks = [
-        (i, r) for i in range(len(cfg.schedule)) for r in range(cfg.replicates)
-    ]
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    tasks = [(i, r) for i in range(len(cfg.schedule)) for r in range(cfg.replicates)]
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             trials = list(pool.map(lambda t: run_trial(cfg, *t), tasks))
@@ -589,8 +342,7 @@ def write_results(result: SweepResult, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    lines = [t.to_json_line() for t in result.trials]
-    _atomic_write_text(out / "trials.json", "".join(line + "\n" for line in lines))
+    _atomic_write_text(out / "trials.json", "".join(t.to_json_line() + "\n" for t in result.trials))
 
     summary_doc = {
         "schema": SCHEMA_VERSION,
@@ -613,10 +365,5 @@ def write_results(result: SweepResult, out_dir) -> Path:
 
 def read_trials(path) -> list[TrialResult]:
     """Parse a trials.json (one JSON object per line) back into records."""
-    out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(TrialResult.from_json_line(line))
-    return out
+        return [TrialResult.from_json_line(line) for line in fh if line.strip()]

@@ -3,6 +3,10 @@
 Both laws expose ``pdf``, ``cdf`` and ``support``.  The Marchenko-Pastur law
 with ratio y > 1 additionally carries a point mass of 1 - 1/y at zero, kept
 as a separate field (never baked into the density); its ``cdf`` includes it.
+
+``REFERENCE_LAWS`` maps each law's config name to its class; ``law_to_dict``
+and ``law_from_dict`` are the one JSON form of a law, ``{"law": name, ...}``
+plus the class's fields.
 """
 
 from __future__ import annotations
@@ -11,9 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-__all__ = ["Semicircle", "MarchenkoPastur", "ReferenceLaw", "semicircle_moment"]
+from .codec import Record
+
+__all__ = [
+    "Semicircle", "MarchenkoPastur", "ReferenceLaw", "REFERENCE_LAWS", "semicircle_moment",
+    "law_to_dict", "law_from_dict"
+]
 
 
 def semicircle_moment(m: int) -> float:
@@ -27,7 +35,7 @@ def semicircle_moment(m: int) -> float:
 
 
 @dataclass(frozen=True)
-class Semicircle:
+class Semicircle(Record):
     """Semicircle law: density sqrt(4 - x^2) / (2 pi) on [-2, 2]."""
 
     def support(self) -> tuple[float, float]:
@@ -51,7 +59,7 @@ class Semicircle:
 
 
 @dataclass(frozen=True)
-class MarchenkoPastur:
+class MarchenkoPastur(Record):
     """Marchenko-Pastur law with ratio y > 0.
 
     Continuous density sqrt((a_plus - x)(x - a_minus)) / (2 pi x y) on
@@ -100,35 +108,48 @@ class MarchenkoPastur:
             dens = np.where(inside, np.sqrt(rad) / (2.0 * np.pi * self.y * np.where(inside, x, 1.0)), 0.0)
         return float(dens) if dens.ndim == 0 else dens
 
-    def _continuous_cdf(self, x: float) -> float:
-        # mass of the continuous part on (-inf, x], by adaptive quadrature
-        # after x = a_minus + (a_plus - a_minus) sin^2(theta), which removes
-        # the square-root edges (and the 1/x pole at y = 1)
-        am, ap = self.a_minus, self.a_plus
-        total = 1.0 - self.point_mass_at_zero
-        if x <= am:
-            return 0.0
-        if x >= ap:
-            return total
-        span = ap - am
-        theta_max = math.asin(math.sqrt((x - am) / span))
-
-        def integrand(theta):
-            s = math.sin(theta)
-            return span * span * math.sin(2.0 * theta) ** 2 / (
-                4.0 * math.pi * self.y * (am + span * s * s)
-            )
-
-        val, _ = quad(integrand, 0.0, theta_max, epsabs=1e-10, epsrel=1e-12, limit=200)
-        return min(max(val, 0.0), total)
-
     def cdf(self, x):
-        """Full CDF: point mass at zero (when y > 1) plus the continuous part."""
-        if np.ndim(x) == 0:
-            x = float(x)
-            pm = self.point_mass_at_zero if x >= 0 else 0.0
-            return pm + self._continuous_cdf(x)
-        return np.array([self.cdf(float(t)) for t in np.asarray(x, dtype=float)])
+        """Full CDF: point mass at zero (when y > 1) plus the continuous part.
+
+        The continuous part is in closed form: with x = a_minus + (a_plus -
+        a_minus) sin^2(theta), its mass on (-inf, x] is
+
+            [(1 + y) theta + sqrt(y) sin(2 theta)
+             - |1 - y| atan2(sqrt(a_plus) sin(theta), sqrt(a_minus) cos(theta))] / (pi y)
+
+        (Bai & Silverstein 2010).  It is accurate to about 1e-14 up to both
+        edges of the support.
+        """
+        x = np.asarray(x, dtype=float)
+        am, ap, y = self.a_minus, self.a_plus, self.y
+        t = np.clip(x, am, ap)
+        theta = np.arctan2(np.sqrt(t - am), np.sqrt(ap - t))
+        cont = (
+            (1.0 + y) * theta
+            + math.sqrt(y) * np.sin(2.0 * theta)
+            - abs(1.0 - y) * np.arctan2(math.sqrt(ap) * np.sin(theta), math.sqrt(am) * np.cos(theta))
+        ) / (math.pi * y)
+        total = 1.0 - self.point_mass_at_zero
+        cont = np.where(x <= am, 0.0, np.where(x >= ap, total, np.clip(cont, 0.0, total)))
+        c = cont + np.where(x >= 0.0, self.point_mass_at_zero, 0.0)
+        return float(c) if c.ndim == 0 else c
 
 
 ReferenceLaw = Semicircle | MarchenkoPastur
+
+REFERENCE_LAWS = {"semicircle": Semicircle, "mp": MarchenkoPastur}
+
+
+def law_to_dict(law: ReferenceLaw) -> dict:
+    """``{"law": name}`` plus the law's parameters, e.g. ``{"law": "mp", "y": 0.25}``."""
+    name = next(k for k, cls in REFERENCE_LAWS.items() if type(law) is cls)
+    return {"law": name, **law.to_dict()}
+
+
+def law_from_dict(d: dict) -> ReferenceLaw:
+    """Inverse of ``law_to_dict``; a law takes exactly its own parameters."""
+    params = dict(d) if isinstance(d, dict) else {}
+    name = params.pop("law", None)
+    if name not in REFERENCE_LAWS:
+        raise ValueError(f"reference law must be one of {tuple(REFERENCE_LAWS)}, got {name!r}")
+    return REFERENCE_LAWS[name].from_dict(params, where=f"reference law {name!r}")

@@ -7,13 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Record
 from .laws import ReferenceLaw
 
 __all__ = ["SpectralSummary", "ks_distance", "esd_moment", "summarize"]
 
 
 @dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(Record):
     """Spectral summary of one ESD against a reference law.
 
     ``moments[k]`` is the (k+1)-th ESD moment (1/d) sum lambda_i^(k+1);
@@ -25,25 +26,6 @@ class SpectralSummary:
     lambda_min: float
     lambda_max: float
     spectral_norm: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ks": self.ks,
-            "moments": list(self.moments),
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "spectral_norm": self.spectral_norm,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpectralSummary":
-        return cls(
-            ks=d["ks"],
-            moments=tuple(d["moments"]),
-            lambda_min=d["lambda_min"],
-            lambda_max=d["lambda_max"],
-            spectral_norm=d["spectral_norm"],
-        )
 
 
 def _as_esd(eigenvalues) -> np.ndarray:

@@ -5,25 +5,12 @@ uniform on the unit sphere of R^d and R is a scalar radius.  Unlike the
 classical spherical case, R may take negative values and may depend on U;
 the center is identically zero.
 
-Radial laws provided here:
-
-- ``ChiRadius(df)``:        R = sqrt(chi2_df).  With df = d the population
-                            is standard normal N(0, I_d).
-- ``ScaledFRootRadius(df, p)``: R = sqrt(df * F_{df,p}).  With df = d the
-                            population is the d-dimensional t with p degrees
-                            of freedom; p = 1 gives the multivariate Cauchy
-                            (no finite mean).
-- ``ConstantRadius(value)``: R = value exactly (value != 0).
-- ``SignedChiRadius(df)``:  R = +/- sqrt(chi2_df) with an independent fair
-                            sign, so both signs occur.
-
-Coupling between R and U (``Coupling``):
-
-- ``INDEPENDENT``: R is drawn independently of U.
-- ``SIGN_U1``:     the drawn radius is multiplied by 1 + sign(u_1)/2, i.e.
-                   3/2 when the first sphere coordinate is positive and 1/2
-                   when it is negative.  This makes the radius a non-constant
-                   function of U while keeping the multiplier nonzero.
+``RADIAL_KINDS`` is the one table of radial laws: it maps each config and
+CLI name (``chi``, ``scaled-f-root``, ``constant``, ``signed-chi``) to the
+law's class, the parameters it takes and its draw.  Adding a radial law means
+adding its class and one entry there.  ``Coupling`` says how the radius
+depends on U, and ``PopulationTemplate`` is a population with the dimension
+left open.
 
 RNG contract
 ------------
@@ -40,25 +27,20 @@ construction) and a gamma sampler above that switch point (speed).
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .codec import Record
+
 __all__ = [
-    "ChiRadius",
-    "ScaledFRootRadius",
-    "ConstantRadius",
-    "SignedChiRadius",
-    "RadialLaw",
-    "Coupling",
-    "PopulationSpec",
-    "DegenerateDrawError",
-    "sample_unit_sphere",
-    "sample_radius",
-    "sample_population",
-    "splitmix64",
-    "derive_seed",
+    "ChiRadius", "ScaledFRootRadius", "ConstantRadius", "SignedChiRadius", "RadialLaw",
+    "RadialKind", "RADIAL_KINDS", "Coupling", "PopulationSpec", "PopulationTemplate",
+    "DegenerateDrawError", "sample_unit_sphere", "sample_radius", "sample_population",
+    "splitmix64", "derive_seed"
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -100,32 +82,36 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     return state
 
 
+def _check_positive_int(law, name: str):
+    value = getattr(law, name)
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{type(law).__name__} '{name}' must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChiRadius:
-    """R = sqrt(chi2_df); nonnegative."""
+    """R = sqrt(chi2_df); nonnegative.  With df = d the population is N(0, I_d)."""
 
     df: int
 
     def __post_init__(self):
-        if self.df < 1:
-            raise ValueError(f"ChiRadius df must be a positive integer, got {self.df}")
+        _check_positive_int(self, "df")
 
 
 @dataclass(frozen=True)
 class ScaledFRootRadius:
     """R = sqrt(df * F_{df,p}) from independent chi-squares; nonnegative.
 
-    With p = 1 the resulting population has no finite mean (Cauchy radial law).
+    With df = d the population is the d-dimensional t with p degrees of
+    freedom; p = 1 gives the multivariate Cauchy, which has no finite mean.
     """
 
     df: int
     p: int
 
     def __post_init__(self):
-        if self.df < 1:
-            raise ValueError(f"ScaledFRootRadius df must be positive, got {self.df}")
-        if self.p < 1:
-            raise ValueError(f"ScaledFRootRadius p must be positive, got {self.p}")
+        _check_positive_int(self, "df")
+        _check_positive_int(self, "p")
 
 
 @dataclass(frozen=True)
@@ -146,15 +132,20 @@ class SignedChiRadius:
     df: int
 
     def __post_init__(self):
-        if self.df < 1:
-            raise ValueError(f"SignedChiRadius df must be positive, got {self.df}")
+        _check_positive_int(self, "df")
 
 
 RadialLaw = ChiRadius | ScaledFRootRadius | ConstantRadius | SignedChiRadius
 
 
 class Coupling(Enum):
-    """How the radius depends on the sphere draw."""
+    """How the radius depends on the sphere draw.
+
+    ``INDEPENDENT`` draws R independently of U.  ``SIGN_U1`` multiplies the
+    drawn radius by 1 + sign(u_1)/2: 3/2 when the first sphere coordinate is
+    positive and 1/2 when it is negative, so the radius is a non-constant
+    function of U with a nonzero multiplier.
+    """
 
     INDEPENDENT = "independent"
     SIGN_U1 = "sign-u1"
@@ -184,8 +175,7 @@ class PopulationSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if not isinstance(self.radial, (ChiRadius, ScaledFRootRadius, ConstantRadius, SignedChiRadius)):
-            raise TypeError(f"unknown radial law: {self.radial!r}")
+        _kind_of(self.radial)
         if not isinstance(self.coupling, Coupling):
             raise TypeError(f"unknown coupling: {self.coupling!r}")
 
@@ -242,11 +232,52 @@ def _chi_square(rng: np.random.Generator, df: int, m: int) -> np.ndarray:
     return 2.0 * rng.standard_gamma(0.5 * df, size=m)
 
 
+def _draw_chi(law, rng, m):
+    return np.sqrt(_chi_square(rng, law.df, m))
+
+
+def _draw_scaled_f_root(law, rng, m):
+    num = _chi_square(rng, law.df, m) / law.df
+    den = _chi_square(rng, law.p, m) / law.p
+    return np.sqrt(law.df * num / den)
+
+
+def _draw_signed_chi(law, rng, m):
+    return _draw_chi(law, rng, m) * (rng.integers(0, 2, size=m) * 2 - 1)
+
+
+@dataclass(frozen=True)
+class RadialKind:
+    """A radial law as configs name it.
+
+    ``params`` lists the constructor arguments of ``law`` in order: ``df``
+    is tied to the population dimension, the others (``p``, ``c``) come
+    from the ``PopulationTemplate``.  ``draw(law, rng, m)`` returns m radii.
+    """
+
+    law: type
+    params: tuple[str, ...]
+    draw: Callable[[RadialLaw, np.random.Generator, int], np.ndarray]
+
+
+# The one place a radial law is registered: config and CLI name -> kind.
+RADIAL_KINDS = {
+    "chi": RadialKind(ChiRadius, ("df",), _draw_chi),
+    "scaled-f-root": RadialKind(ScaledFRootRadius, ("df", "p"), _draw_scaled_f_root),
+    "constant": RadialKind(ConstantRadius, ("c",), lambda law, rng, m: np.full(m, float(law.value))),
+    "signed-chi": RadialKind(SignedChiRadius, ("df",), _draw_signed_chi),
+}
+
+
+def _kind_of(law) -> RadialKind:
+    for kind in RADIAL_KINDS.values():
+        if type(law) is kind.law:
+            return kind
+    raise TypeError(f"unknown radial law: {law!r}")
+
+
 def sample_radius(
-    law: RadialLaw,
-    u: np.ndarray,
-    coupling: Coupling,
-    rng: np.random.Generator,
+    law: RadialLaw, u: np.ndarray, coupling: Coupling, rng: np.random.Generator
 ) -> float | np.ndarray:
     """Draw the scalar radius (or one per column of ``u``).
 
@@ -258,28 +289,11 @@ def sample_radius(
     """
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 1
-    m = 1 if scalar else u.shape[1]
-
-    if isinstance(law, ChiRadius):
-        r = np.sqrt(_chi_square(rng, law.df, m))
-    elif isinstance(law, ScaledFRootRadius):
-        num = _chi_square(rng, law.df, m) / law.df
-        den = _chi_square(rng, law.p, m) / law.p
-        r = np.sqrt(law.df * num / den)
-    elif isinstance(law, ConstantRadius):
-        r = np.full(m, float(law.value))
-    elif isinstance(law, SignedChiRadius):
-        r = np.sqrt(_chi_square(rng, law.df, m))
-        r *= rng.integers(0, 2, size=m) * 2 - 1
-    else:
-        raise TypeError(f"unknown radial law: {law!r}")
-
+    r = _kind_of(law).draw(law, rng, 1 if scalar else u.shape[1])
     if coupling is Coupling.SIGN_U1:
-        u1 = u[0] if scalar else u[0, :]
-        r = r * (1.0 + 0.5 * np.sign(u1))
+        r = r * (1.0 + 0.5 * np.sign(u[0]))  # u[0]: first coordinate of each column
     elif coupling is not Coupling.INDEPENDENT:
         raise TypeError(f"unknown coupling: {coupling!r}")
-
     return float(r[0]) if scalar else r
 
 
@@ -301,3 +315,39 @@ def sample_population(spec: PopulationSpec, n: int) -> np.ndarray:
     u = sample_unit_sphere(spec.dim, rng, size=n)
     r = sample_radius(spec.radial, u, spec.coupling, rng)
     return u * r
+
+
+@dataclass(frozen=True)
+class PopulationTemplate(Record):
+    """Population family with the dimension left open.
+
+    The radial degrees of freedom track the dimension: ``chi`` at dimension
+    d uses chi2_d (standard normal population), ``scaled-f-root`` uses
+    sqrt(d F_{d,p}) (d-dimensional t with p degrees of freedom), and
+    ``signed-chi`` the sign-symmetrized chi.  ``constant`` uses the fixed
+    radius ``c``.  A kind must get exactly the parameters it takes.
+    """
+
+    _where = "population"
+    _omit_none = True
+
+    radial: str
+    coupling: Coupling = Coupling.INDEPENDENT
+    p: int | None = None
+    c: float | None = None
+
+    def __post_init__(self):
+        kind = RADIAL_KINDS.get(self.radial)
+        if kind is None:
+            raise ValueError(f"radial must be one of {tuple(RADIAL_KINDS)}, got {self.radial!r}")
+        for name in ("p", "c"):
+            if (getattr(self, name) is None) == (name in kind.params):
+                verb = "requires" if name in kind.params else "does not take"
+                raise ValueError(f"radial {self.radial!r} {verb} '{name}'")
+        self.instantiate(1, 0)  # the law's own checks on p and c
+
+    def instantiate(self, dim: int, seed: int) -> PopulationSpec:
+        kind = RADIAL_KINDS[self.radial]
+        values = {"df": dim, "p": self.p, "c": self.c}
+        law = kind.law(*(values[name] for name in kind.params))
+        return PopulationSpec(dim=dim, radial=law, coupling=self.coupling, seed=seed)

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "symmetric_eigenvalues",
-    "spectral_norm",
-    "standardize",
-    "esd_eval",
-]
+__all__ = ["symmetric_eigenvalues", "spectral_norm", "standardize", "esd_eval"]
 
 
 def _as_symmetric(A) -> np.ndarray:
@@ -48,9 +43,7 @@ def standardize(A, n_samples: int) -> np.ndarray:
     Tyler's estimator) approaches the semicircle law as d/n -> 0.  The result
     is generally indefinite.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    A = _as_symmetric(A)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     d = A.shape[0]

@@ -39,6 +39,17 @@ class TestSample:
         ) == 0
         assert np.loadtxt(out, delimiter=",").shape == (3, 30)
 
+    def test_unused_parameter_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "sample", "--dim", 2, "--n", 5, "--radial", "chi", "--radial-p", 7, "--seed", 1,
+            "--out", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "chi" in err and "'p'" in err
+        assert not out.exists()
+
     def test_constant_requires_value(self, tmp_path):
         code = run_cli(
             "sample", "--dim", 2, "--n", 5, "--radial", "constant", "--seed", 1,
@@ -126,6 +137,13 @@ class TestLawCommand:
     def test_bad_grid(self, tmp_path):
         assert run_cli("law", "--law", "semicircle", "--grid", "2:1:0.5", "--out", tmp_path / "x.csv") == 2
 
+    def test_semicircle_rejects_y(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("law", "--law", "semicircle", "--y", 3, "--grid", "0:1:0.5", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "semicircle" in err and "'y'" in err
+        assert not out.exists()
+
 
 def write_config(tmp_path, **overrides):
     cfg = {
@@ -178,6 +196,30 @@ class TestTrialAndSweep:
         assert run_cli("sweep", "--config", missing, "--out", tmp_path / "x") == 2
         bad = write_config(tmp_path, schedule=[[8, 4]])
         assert run_cli("sweep", "--config", bad, "--out", tmp_path / "x") == 2
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--config", cfg, "--out", out, "--jobs", jobs) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_radial_p_rejected_at_load(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, population={"radial": "scaled-f-root", "p": 1.5})
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "'p'" in err and "1.5" in err
+        assert not out.exists()
+
+    def test_parameters_a_kind_does_not_take_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, population={"radial": "chi", "p": 3, "c": 2.0})
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "chi" in err and "'p'" in err
+        assert not out.exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -72,10 +72,44 @@ class TestConfig:
             PopulationTemplate.from_dict({"radial": "chi", "dim": 4})
         with pytest.raises(ValueError, match="scaled-f-root"):
             PopulationTemplate(radial="scaled-f-root")
+        with pytest.raises(ValueError, match="'p'"):
+            PopulationTemplate(radial="scaled-f-root", p=1.5)
+        with pytest.raises(ValueError, match="'p'"):
+            PopulationTemplate.from_dict({"radial": "scaled-f-root", "p": 1.5})
+        with pytest.raises(ValueError, match="chi"):
+            PopulationTemplate(radial="chi", c=2.0)
         with pytest.raises(ValueError, match="reference"):
             ExperimentConfig.from_dict(
                 {"population": {"radial": "chi"}, "schedule": [[2, 4]], "replicates": 1, "reference": {"law": "wigner"}}
             )
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"replicates": 2.5}, "replicates"),
+            ({"standardized": "yes"}, "standardized"),
+            ({"estimators": ["tyler", 3]}, "estimators"),
+            ({"tyler": {"tol": 1e-9, "max_iter": 10.5}}, "max_iter"),
+            ({"tyler": {"tol": 1e-9, "steps": 3}}, "unknown tyler keys"),
+            ({"reference": {"law": "mp", "y": 0.25, "z": 1}}, "z"),
+            ({"population": {"radial": "constant", "c": "2"}}, "'c'"),
+            ({"population": "chi"}, "population"),
+            ({"schema": 1}, "unknown config keys"),
+        ],
+    )
+    def test_load_time_type_checks(self, override, message):
+        doc = {"population": {"radial": "chi"}, "schedule": [[2, 4]], "replicates": 1}
+        doc.update(override)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(doc)
+
+    def test_integral_floats_widen(self):
+        cfg = ExperimentConfig.from_dict(
+            {"population": {"radial": "constant", "c": 2}, "schedule": [[2, 4]], "replicates": 1,
+             "tyler": {"tol": 1}}
+        )
+        assert cfg.population.c == 2.0 and isinstance(cfg.population.c, float)
+        assert cfg.tol == 1.0 and isinstance(cfg.tol, float)
 
     def test_covariance_only_allows_n_below_d(self):
         cfg = small_config(estimators=("covariance",), schedule=((8, 4),))
@@ -167,6 +201,11 @@ class TestRunSweep:
         for pair in result.summary.pairs:
             assert pair.estimators == {}
             assert pair.cross_norm_median is None
+
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, n_jobs):
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_sweep(small_config(), n_jobs=n_jobs)
 
     def test_parallel_matches_serial(self):
         cfg = small_config()

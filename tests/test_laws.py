@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -118,6 +121,30 @@ class TestMarchenkoPastur:
             oracle = quad(mp.pdf, lo, x, epsabs=1e-12, limit=400)[0]
             assert mp.cdf(x) == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("y", [0.01, 0.25, 5 / 6, 1.0, 2.0, 5.0])
+    def test_cdf_matches_quadrature_up_to_the_edges(self, y):
+        # oracle: the density after x = a_minus + span sin^2(theta), which has
+        # no square-root edges, integrated at near machine precision
+        mp = MarchenkoPastur(y)
+        am, ap = mp.support()
+        span = ap - am
+
+        def integrand(theta):
+            s = np.sin(theta)
+            return span**2 * np.sin(2 * theta) ** 2 / (4 * np.pi * y * (am + span * s * s))
+
+        xs = am + span * np.array([1e-12, 1e-6, 0.3, 0.7, 1 - 1e-6, 1 - 1e-12])
+        for x, got in zip(xs, mp.cdf(xs)):
+            top = np.arcsin(np.sqrt((x - am) / span))
+            want = mp.point_mass_at_zero + quad(integrand, 0.0, top, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+            assert got == pytest.approx(want, abs=1e-12)
+
+    def test_cdf_vectorized_matches_scalar(self):
+        mp = MarchenkoPastur(2.0)
+        xs = np.linspace(-0.5, 7.0, 101)
+        assert np.array_equal(mp.cdf(xs), [mp.cdf(float(x)) for x in xs])
+        assert isinstance(mp.cdf(1.0), float)
+
     def test_cdf_monotone(self):
         for y in (0.25, 2.0):
             mp = MarchenkoPastur(y)
@@ -130,3 +157,8 @@ class TestMarchenkoPastur:
             MarchenkoPastur(0.0)
         with pytest.raises(ValueError):
             MarchenkoPastur(-1.0)
+
+
+def test_import_does_not_load_quadrature():
+    code = "import sys, tylerlaw; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
