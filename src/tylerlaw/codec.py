@@ -24,7 +24,7 @@ import typing
 from dataclasses import MISSING, fields
 from enum import Enum
 
-__all__ = ["Record", "SCHEMA_VERSION", "check_keys"]
+__all__ = ["Record", "SCHEMA_VERSION", "check_keys", "decode"]
 
 SCHEMA_VERSION = 1
 
@@ -53,17 +53,20 @@ def _encode(value):
     return value
 
 
-def _decode(hint, value, where: str):
+def decode(hint, value, where: str):
+    """``value`` read from JSON as the type ``hint``; ValueError names ``where``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):  # X | None
         if value is None:
             return None
         (hint,) = [a for a in args if a is not type(None)]
-        return _decode(hint, value, where)
+        return decode(hint, value, where)
     if origin is tuple:
-        return tuple(_decode(args[0], v, where) for v in value)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        return tuple(decode(args[0], v, where) for v in value)
     if origin is dict:
-        return {k: _decode(args[1], v, where) for k, v in value.items()}
+        return {k: decode(args[1], v, where) for k, v in value.items()}
     if isinstance(hint, type) and issubclass(hint, Record):
         return hint.from_dict(value)
     if isinstance(hint, type) and issubclass(hint, Enum):
@@ -109,7 +112,7 @@ class Record:
                 if f.default is MISSING and f.default_factory is MISSING:
                     raise ValueError(f"{where} requires the '{f.name}' key")
                 continue
-            decode = f.metadata.get("decode")
+            hook = f.metadata.get("decode")
             value = src[f.name]
-            kwargs[f.name] = decode(value) if decode else _decode(hints[f.name], value, f"{where} '{f.name}'")
+            kwargs[f.name] = hook(value) if hook else decode(hints[f.name], value, f"{where} '{f.name}'")
         return cls(**kwargs)

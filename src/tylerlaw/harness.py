@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import SCHEMA_VERSION, Record, check_keys
+from .codec import SCHEMA_VERSION, Record, check_keys, decode
 from .estimators import sample_covariance, tyler
 from .laws import ReferenceLaw, Semicircle, law_from_dict, law_to_dict
 from .metrics import SpectralSummary, summarize
@@ -80,13 +80,13 @@ _PRESETS = {"semicircle": semicircle_schedule, "mp": mp_schedule}
 
 
 def _schedule_from_config(spec) -> tuple[tuple[int, int], ...]:
-    if isinstance(spec, dict):
-        check_keys(spec, {"preset", "dims"}, "schedule")
-        preset = spec.get("preset")
-        if preset not in _PRESETS:
-            raise ValueError(f"schedule preset must be one of {tuple(_PRESETS)}, got {preset!r}")
-        return _PRESETS[preset](spec.get("dims"))
-    return tuple((int(d), int(n)) for d, n in spec)
+    if not isinstance(spec, dict):
+        return decode(tuple[tuple[int, int], ...], spec, "config 'schedule'")
+    check_keys(spec, {"preset", "dims"}, "schedule")
+    preset = spec.get("preset")
+    if preset not in _PRESETS:
+        raise ValueError(f"schedule preset must be one of {tuple(_PRESETS)}, got {preset!r}")
+    return _PRESETS[preset](decode(tuple[int, ...], spec.get("dims"), "schedule 'dims'"))
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,9 @@ class TestConfig:
             ({"population": {"radial": "constant", "c": "2"}}, "'c'"),
             ({"population": "chi"}, "population"),
             ({"schema": 1}, "unknown config keys"),
+            ({"schedule": [[4.5, 40]]}, "schedule"),
+            ({"schedule": {"preset": "mp"}}, "dims"),
+            ({"schedule": {"preset": "mp", "dims": [8.5]}}, "dims"),
         ],
     )
     def test_load_time_type_checks(self, override, message):
