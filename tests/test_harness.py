@@ -106,7 +106,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(doc)
 
-    def test_integral_floats_widen(self):
+    def test_integers_widen_to_float(self):
         cfg = ExperimentConfig.from_dict(
             {"population": {"radial": "constant", "c": 2}, "schedule": [[2, 4]], "replicates": 1,
              "tyler": {"tol": 1}}
