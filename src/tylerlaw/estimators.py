@@ -7,10 +7,12 @@ positive definite with trace d.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
 
 __all__ = [
     "TylerReport", "NoConvergenceError", "SingularShapeError", "sample_covariance", "tyler",
@@ -47,7 +49,8 @@ class TylerReport:
         Frobenius norm of the fixed-point defect at exit; ``inf`` when the
         partial estimate is too ill-conditioned to evaluate it.
     converged : bool
-        Whether the relative-change stopping rule was met.
+        Whether the relative-change stopping rule was met with a residual of
+        at most sqrt(tol) times the estimate's Frobenius norm.
     step_history : tuple of float
         Relative Frobenius change of the iterate, one entry per iteration.
     boundary_regime : bool
@@ -90,8 +93,15 @@ def _tyler_rhs(X: np.ndarray, omega: np.ndarray) -> np.ndarray:
     chol = cho_factor(omega, lower=True)
     q = np.einsum("ij,ij->j", X, cho_solve(chol, X))
     Y = X / np.sqrt(q)
-    G = (d / n) * (Y @ Y.T)
-    return 0.5 * (G + G.T)
+    # the Gram product runs in scipy's BLAS like the Cholesky calls: numpy's
+    # `@` would wake a second OpenBLAS thread pool that fights this one.
+    # dsyrk fills the upper triangle and leaves zeros below, so G + G.T
+    # doubles only the diagonal, and halving it back is exact
+    G = dsyrk(1.0, Y.T, trans=1)
+    G = G + G.T
+    G.flat[:: d + 1] *= 0.5
+    G *= d / n
+    return G
 
 
 def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
@@ -128,8 +138,10 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         If n < d ("dimension-exceeds-sample") or some column is zero
         ("zero-column").
     NoConvergenceError
-        If the iteration cap is reached or the iterate loses positive
-        definiteness twice; carries the partial report (trace still d).
+        If the iteration cap is reached, the iterate loses positive
+        definiteness twice, or the step meets ``tol`` while the residual
+        exceeds sqrt(tol) * ||T||_F; carries the partial report (trace
+        still d).
     """
     X = _as_data_matrix(X)
     d, n = X.shape
@@ -155,14 +167,24 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
             if converged:
                 raise
             residual = float("inf")
-        return TylerReport(
+        # the step also vanishes on a degenerate iterate when the existence
+        # condition fails; only a small residual means the equation is solved
+        solved = bool(residual <= math.sqrt(tol) * np.linalg.norm(omega, "fro"))
+        report = TylerReport(
             estimate=omega,
             iterations=iterations,
             residual=residual,
-            converged=converged,
+            converged=converged and solved,
             step_history=tuple(steps),
             boundary_regime=(n == d),
         )
+        if converged and not solved:
+            raise NoConvergenceError(
+                f"no-convergence: step met tol={tol} but the residual is {residual:.3g} "
+                "(columns may be concentrated on a subspace)",
+                report,
+            )
+        return report
 
     omega = np.eye(d)
     steps: list[float] = []

@@ -39,15 +39,22 @@ def ks_distance(eigenvalues, law: ReferenceLaw) -> float:
     """Kolmogorov-Smirnov distance between an ESD and a reference law.
 
     The supremum of |F(x) - G(x)| is attained at the eigenvalue jump points,
-    so it is computed exactly as max_i max(|i/d - G(lam_i)|,
-    |(i-1)/d - G(lam_i)|).  G is the full law CDF (point mass included for
-    Marchenko-Pastur with y > 1).
+    so it is computed exactly as the maximum over eigenvalues lam of
+    |F(lam) - G(lam)| and |F(lam-) - G(lam-)|, with the left limits taken
+    from tie counts.  G is the full law CDF (point mass included for
+    Marchenko-Pastur with y > 1).  When the law has an atom at zero,
+    eigenvalues within d * eps * max|lam| of zero count as zero, so the
+    roundoff signs of a rank-deficient matrix's null eigenvalues do not
+    decide on which side of the atom they fall.
     """
     lam = _as_esd(eigenvalues)
     d = lam.size
+    atom = getattr(law, "point_mass_at_zero", 0.0)
+    if atom > 0:
+        lam = np.where(np.abs(lam) <= d * np.finfo(float).eps * np.abs(lam).max(), 0.0, lam)
     G = np.asarray(law.cdf(lam), dtype=float)
-    hi = np.abs(np.arange(1, d + 1) / d - G)
-    lo = np.abs(np.arange(0, d) / d - G)
+    hi = np.abs(np.searchsorted(lam, lam, "right") / d - G)
+    lo = np.abs(np.searchsorted(lam, lam, "left") / d - np.where(lam == 0.0, G - atom, G))
     return float(max(hi.max(), lo.max()))
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from tylerlaw import (
     ChiRadius,
@@ -7,6 +8,7 @@ from tylerlaw import (
     PopulationSpec,
     ScaledFRootRadius,
     SingularShapeError,
+    estimators,
     sample_covariance,
     sample_population,
     symmetric_eigenvalues,
@@ -15,6 +17,16 @@ from tylerlaw import (
 )
 
 TOL = 1e-9
+
+
+def reference_rhs(X, omega):
+    # the kernel with numpy's Gram product, symmetrized afterwards: the
+    # oracle for estimators._tyler_rhs
+    d, n = X.shape
+    q = np.einsum("ij,ij->j", X, cho_solve(cho_factor(omega, lower=True), X))
+    Y = X / np.sqrt(q)
+    G = (d / n) * (Y @ Y.T)
+    return 0.5 * (G + G.T)
 
 
 def scaled_identity_data(d):
@@ -132,6 +144,20 @@ class TestTyler:
         assert not report.converged
         assert abs(np.trace(report.estimate) - 2) <= 1e-10 * 2
 
+    def test_rejects_columns_concentrated_on_a_line(self):
+        # 30 of 40 columns on e1 (d = 4) break Tyler's existence condition
+        # (n/d = 10 or more on a line); the relative step still collapses, so
+        # only the residual shows that the estimate solves nothing
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((4, 40))
+        X[1:, :30] = 0.0
+        with pytest.raises(NoConvergenceError, match="no-convergence") as exc:
+            tyler(X)
+        report = exc.value.report
+        assert not report.converged
+        assert report.residual > 1.0
+        assert abs(np.trace(report.estimate) - 4) <= 1e-10 * 4
+
     def test_no_convergence_on_iteration_cap(self):
         X = sample_population(PopulationSpec(4, ChiRadius(4), seed=12), 40)
         with pytest.raises(NoConvergenceError) as exc:
@@ -168,3 +194,36 @@ class TestTylerResidual:
             tyler_residual(X, np.diag([1.0, 0.0]))
         with pytest.raises(SingularShapeError, match="singular-shape"):
             tyler_residual(X, np.diag([1.0, 1e-16]))
+
+
+class TestTylerKernel:
+    @staticmethod
+    def pair(d, n, seed=0):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((d, d))
+        return rng.standard_normal((d, n)), A @ A.T / d + np.eye(d)
+
+    @pytest.mark.parametrize("d, n", [(4, 40), (16, 1600), (64, 6400)])
+    def test_byte_equal_to_reference(self, d, n):
+        X, omega = self.pair(d, n)
+        np.testing.assert_array_equal(estimators._tyler_rhs(X, omega), reference_rhs(X, omega))
+
+    def test_near_square_agrees_with_reference(self):
+        X, omega = self.pair(100, 120)
+        got, want = estimators._tyler_rhs(X, omega), reference_rhs(X, omega)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d, n", [(4, 40), (100, 120)])
+    def test_exactly_symmetric(self, d, n):
+        G = estimators._tyler_rhs(*self.pair(d, n))
+        np.testing.assert_array_equal(G, G.T)
+
+    def test_near_square_fit_matches_reference_kernel(self, monkeypatch):
+        X = sample_population(PopulationSpec(100, ChiRadius(100), seed=11), 120)
+        rep = tyler(X, tol=TOL)
+        monkeypatch.setattr(estimators, "_tyler_rhs", reference_rhs)
+        ref = tyler(X, tol=TOL)
+        assert rep.converged and ref.converged
+        assert rep.iterations == ref.iterations
+        assert np.linalg.norm(rep.estimate - ref.estimate) <= 10 * TOL * np.linalg.norm(ref.estimate)
+

@@ -9,6 +9,7 @@ from tylerlaw import (
     Semicircle,
     esd_moment,
     ks_distance,
+    sample_covariance,
     semicircle_moment,
     standardize,
     summarize,
@@ -40,6 +41,21 @@ class TestKsDistance:
     def test_mp_point_mass_included(self):
         # all eigenvalues at 0 vs MP(2): G(0) = 0.5 from the atom
         assert ks_distance(np.zeros(4), MarchenkoPastur(2.0)) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mp_atom_ignores_signs_of_null_eigenvalues(self, seed):
+        # a (16, 8) sample covariance has 8 null eigenvalues that come out
+        # as +/-1e-16 roundoff; MP(2) puts its mass-1/2 atom exactly at 0
+        X = np.random.default_rng(seed).standard_normal((16, 8))
+        lam = symmetric_eigenvalues(sample_covariance(X))
+        null = np.abs(lam) <= 1e-12
+        assert null.sum() == 8
+        law = MarchenkoPastur(2.0)
+        variants = [lam, np.where(null, np.abs(lam), lam), np.where(null, -np.abs(lam), lam),
+                    np.where(null, 0.0, lam)]
+        ks = [ks_distance(v, law) for v in variants]
+        assert ks == [ks[0]] * len(ks)
+        assert ks[0] < 0.5
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 50))
     @settings(max_examples=30, deadline=None)
