@@ -70,6 +70,8 @@ def _as_data_matrix(X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"data matrix must be 2-D (d, n), got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite-entry: data matrix contains nan or inf")
     return X
 
 
@@ -77,7 +79,8 @@ def sample_covariance(X) -> np.ndarray:
     """Sample covariance S = (1/n) * sum_j X_j X_j^t of a (d, n) data matrix.
 
     The population center is taken to be zero, so no mean is subtracted.
-    The result is symmetrized exactly and positive semidefinite.
+    The result is symmetrized exactly and positive semidefinite.  Raises
+    ValueError ("non-finite-entry") when X holds nan or inf.
     """
     X = _as_data_matrix(X)
     n = X.shape[1]
@@ -135,8 +138,8 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     Raises
     ------
     ValueError
-        If n < d ("dimension-exceeds-sample") or some column is zero
-        ("zero-column").
+        If n < d ("dimension-exceeds-sample"), some column is zero
+        ("zero-column") or an entry is nan or inf ("non-finite-entry").
     NoConvergenceError
         If the iteration cap is reached, the iterate loses positive
         definiteness twice, or the step meets ``tol`` while the residual

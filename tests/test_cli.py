@@ -84,6 +84,12 @@ class TestTylerCommand:
         np.savetxt(path, np.eye(3)[:, :2], delimiter=",")
         assert run_cli("tyler", "--in", path, "--out", tmp_path / "T.csv") == 2
 
+    def test_non_finite_data_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("1,0,nan\n0,1,1\n", encoding="utf-8")
+        assert run_cli("tyler", "--in", path, "--out", tmp_path / "T.csv") == 2
+        assert "config error: non-finite-entry" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     def test_eigenvalues_table(self, tmp_path):

@@ -59,6 +59,13 @@ class TestSampleCovariance:
         with pytest.raises(ValueError):
             sample_covariance(np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_data(self, bad):
+        X = np.eye(3)
+        X[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite-entry"):
+            sample_covariance(X)
+
 
 class TestTyler:
     def test_dimension_one(self):
@@ -127,6 +134,13 @@ class TestTyler:
         X[:, 1] = 0.0
         with pytest.raises(ValueError, match="zero-column"):
             tyler(np.hstack([X, np.eye(3)]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_data(self, bad):
+        X = np.hstack([np.eye(3), np.eye(3)])
+        X[0, 4] = bad
+        with pytest.raises(ValueError, match="non-finite-entry"):
+            tyler(X)
 
     def test_rejects_bad_settings(self):
         with pytest.raises(ValueError):
