@@ -7,36 +7,9 @@ against a reference law.  Trials are independent: trial (i, r) uses the
 seed ``derive_seed(base_seed, i, r)``, so a sweep is reproducible and its
 persisted output is byte-identical regardless of the parallelism degree.
 
-Config file schema (JSON)::
-
-    {
-      "population": {             # template; dimension comes from the schedule
-        "radial": "chi" | "scaled-f-root" | "constant" | "signed-chi",
-        "p": 1,                   # scaled-f-root only: denominator degrees of freedom
-        "c": 2.0,                 # constant only: the radius value
-        "coupling": "independent" | "sign-u1"   # default "independent"
-      },
-      "schedule": [[16, 1600], [32, 3200]]      # explicit (d, n) pairs, or
-                  {"preset": "semicircle" | "mp", "dims": [16, 32, 64]},
-      "replicates": 20,
-      "estimators": ["covariance", "tyler"],
-      "standardized": true,
-      "reference": {"law": "semicircle"} | {"law": "mp", "y": 0.25},
-      "max_moment": 6,
-      "base_seed": 12345,
-      "tyler": {"tol": 1e-9, "max_iter": 1000},  # optional
-      "save_spectra": false,                     # optional
-      "out": "results/"                          # optional; CLI --out overrides
-    }
-
-The ``semicircle`` preset pairs each d with n = 100 d (d/n = 0.01); the
-``mp`` preset uses n = 4 d (d/n = 0.25).
-
-Persisted layout (``write_results``): ``trials.json`` holds one JSON object
-per line (schema-versioned, canonical key order, no timing fields so that
-re-runs are byte-identical), ``summary.json`` the per-pair aggregates, and
-``eigenvalues/{trial_id}.csv`` the raw ascending spectra when requested.
-All files are written to a temp name and renamed into place.
+``ESTIMATORS`` is the one table of estimators: it maps each config tag to
+its fit.  The config file schema and the output layout are described once,
+in README.md ("Config schema" and "Output layout").
 """
 
 from __future__ import annotations
@@ -58,12 +31,25 @@ from .sampling import PopulationTemplate, derive_seed, sample_population
 from .spectral import spectral_norm, standardize, symmetric_eigenvalues
 
 __all__ = [
-    "ExperimentConfig", "EstimatorResult", "TrialResult", "PairSummary", "SweepSummary",
-    "SweepResult", "semicircle_schedule", "mp_schedule", "run_trial", "run_sweep",
+    "ESTIMATORS", "ExperimentConfig", "EstimatorResult", "TrialResult", "PairSummary",
+    "SweepSummary", "SweepResult", "semicircle_schedule", "mp_schedule", "run_trial", "run_sweep",
     "summarize_sweep", "write_results", "read_trials"
 ]
 
-_ESTIMATOR_TAGS = ("covariance", "tyler")
+
+def _fit_covariance(cfg: ExperimentConfig, X: np.ndarray) -> tuple[np.ndarray, dict]:
+    return sample_covariance(X), {}
+
+
+def _fit_tyler(cfg: ExperimentConfig, X: np.ndarray) -> tuple[np.ndarray, dict]:
+    r = tyler(X, tol=cfg.tol, max_iter=cfg.max_iter)
+    return r.estimate, dict(iterations=r.iterations, residual=r.residual, converged=r.converged)
+
+
+# Config tag -> fit(cfg, X) -> (estimate, solver diagnostics for
+# EstimatorResult).  The fits look ``tyler`` and ``sample_covariance`` up in
+# this module when called, so a wrapper installed on those names sees every fit.
+ESTIMATORS = {"covariance": _fit_covariance, "tyler": _fit_tyler}
 
 
 def semicircle_schedule(dims) -> tuple[tuple[int, int], ...]:
@@ -91,7 +77,7 @@ def _schedule_from_config(spec) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig(Record):
-    """Full description of one sweep; see the module docstring for the JSON form."""
+    """Full description of one sweep; README.md gives its JSON form."""
 
     _where = "config"
     _omit_none = True
@@ -118,8 +104,8 @@ class ExperimentConfig(Record):
             raise ValueError("schedule must contain at least one (d, n) pair")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not self.estimators or any(t not in _ESTIMATOR_TAGS for t in self.estimators):
-            raise ValueError(f"estimators must be a nonempty subset of {_ESTIMATOR_TAGS}")
+        if not self.estimators or any(t not in ESTIMATORS for t in self.estimators):
+            raise ValueError(f"estimators must be a nonempty subset of {tuple(ESTIMATORS)}")
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError("estimators must not repeat")
         if self.max_moment < 1:
@@ -207,13 +193,7 @@ def run_trial(cfg: ExperimentConfig, pair_index: int, replicate: int) -> TrialRe
         mats: dict[str, np.ndarray] = {}
         spectra: dict[str, np.ndarray] = {}
         for tag in cfg.estimators:
-            diag = {}
-            if tag == "covariance":
-                mats[tag] = sample_covariance(X)
-            else:
-                report = tyler(X, tol=cfg.tol, max_iter=cfg.max_iter)
-                mats[tag] = report.estimate
-                diag = dict(iterations=report.iterations, residual=report.residual, converged=report.converged)
+            mats[tag], diag = ESTIMATORS[tag](cfg, X)
             A = standardize(mats[tag], n) if cfg.standardized else mats[tag]
             spectra[tag] = symmetric_eigenvalues(A)
             trial.results[tag] = EstimatorResult(summarize(spectra[tag], cfg.reference, cfg.max_moment), **diag)

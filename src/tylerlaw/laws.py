@@ -1,17 +1,19 @@
 """Closed-form reference laws: semicircle and Marchenko-Pastur.
 
-Both laws expose ``pdf``, ``cdf`` and ``support``.  The Marchenko-Pastur law
-with ratio y > 1 additionally carries a point mass of 1 - 1/y at zero, kept
-as a separate field (never baked into the density); its ``cdf`` includes it.
+Each law is one class that carries its config and CLI ``name`` and exposes
+``pdf``, ``cdf``, ``support`` and ``point_mass_at_zero``.  Only the
+Marchenko-Pastur law with ratio y > 1 has a point mass (1 - 1/y at zero); it
+is never baked into the density, and ``cdf`` includes it.
 
-``REFERENCE_LAWS`` maps each law's config name to its class; ``law_to_dict``
-and ``law_from_dict`` are the one JSON form of a law, ``{"law": name, ...}``
-plus the class's fields.
+``ReferenceLaw`` lists the classes once and ``REFERENCE_LAWS`` maps each name
+to its class; ``law_to_dict`` and ``law_from_dict`` are the one JSON form of
+a law, ``{"law": name, ...}`` plus the class's fields.
 """
 
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,9 @@ def semicircle_moment(m: int) -> float:
 class Semicircle(Record):
     """Semicircle law: density sqrt(4 - x^2) / (2 pi) on [-2, 2]."""
 
+    name: typing.ClassVar[str] = "semicircle"
+    point_mass_at_zero: typing.ClassVar[float] = 0.0
+
     def support(self) -> tuple[float, float]:
         return (-2.0, 2.0)
 
@@ -54,9 +59,6 @@ class Semicircle(Record):
         c = 0.5 + t * np.sqrt(4.0 - t * t) / (4.0 * np.pi) + np.arcsin(t / 2.0) / np.pi
         return float(c) if c.ndim == 0 else c
 
-    def moment(self, m: int) -> float:
-        return semicircle_moment(m)
-
 
 @dataclass(frozen=True)
 class MarchenkoPastur(Record):
@@ -67,6 +69,7 @@ class MarchenkoPastur(Record):
     (1 - 1/y)^+ at zero when y > 1.
     """
 
+    name: typing.ClassVar[str] = "mp"
     y: float
 
     def __post_init__(self):
@@ -137,13 +140,12 @@ class MarchenkoPastur(Record):
 
 ReferenceLaw = Semicircle | MarchenkoPastur
 
-REFERENCE_LAWS = {"semicircle": Semicircle, "mp": MarchenkoPastur}
+REFERENCE_LAWS = {law.name: law for law in typing.get_args(ReferenceLaw)}
 
 
 def law_to_dict(law: ReferenceLaw) -> dict:
     """``{"law": name}`` plus the law's parameters, e.g. ``{"law": "mp", "y": 0.25}``."""
-    name = next(k for k, cls in REFERENCE_LAWS.items() if type(law) is cls)
-    return {"law": name, **law.to_dict()}
+    return {"law": law.name, **law.to_dict()}
 
 
 def law_from_dict(d: dict) -> ReferenceLaw:

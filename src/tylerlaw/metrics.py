@@ -49,7 +49,7 @@ def ks_distance(eigenvalues, law: ReferenceLaw) -> float:
     """
     lam = _as_esd(eigenvalues)
     d = lam.size
-    atom = getattr(law, "point_mass_at_zero", 0.0)
+    atom = law.point_mass_at_zero
     if atom > 0:
         lam = np.where(np.abs(lam) <= d * np.finfo(float).eps * np.abs(lam).max(), 0.0, lam)
     G = np.asarray(law.cdf(lam), dtype=float)

@@ -5,12 +5,13 @@ uniform on the unit sphere of R^d and R is a scalar radius.  Unlike the
 classical spherical case, R may take negative values and may depend on U;
 the center is identically zero.
 
-``RADIAL_KINDS`` is the one table of radial laws: it maps each config and
-CLI name (``chi``, ``scaled-f-root``, ``constant``, ``signed-chi``) to the
-law's class, the parameters it takes and its draw.  Adding a radial law means
-adding its class and one entry there.  ``Coupling`` says how the radius
-depends on U, and ``PopulationTemplate`` is a population with the dimension
-left open.
+Each radial law is one class that carries its config and CLI ``name``, its
+constructor arguments in config terms (``params``: ``df`` is tied to the
+population dimension, ``p`` and ``c`` come from the template) and its own
+``draw(rng, m)``.  ``RadialLaw`` lists the classes once and ``RADIAL_KINDS``
+maps each name to its class, so adding a radial law means adding its class
+to ``RadialLaw``.  ``Coupling`` says how the radius depends on U, and
+``PopulationTemplate`` is a population with the dimension left open.
 
 RNG contract
 ------------
@@ -28,7 +29,7 @@ construction) and a gamma sampler above that switch point (speed).
 from __future__ import annotations
 
 import numbers
-from collections.abc import Callable
+import typing
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,7 +39,7 @@ from .codec import Record
 
 __all__ = [
     "ChiRadius", "ScaledFRootRadius", "ConstantRadius", "SignedChiRadius", "RadialLaw",
-    "RadialKind", "RADIAL_KINDS", "Coupling", "PopulationSpec", "PopulationTemplate",
+    "RADIAL_KINDS", "Coupling", "PopulationSpec", "PopulationTemplate",
     "DegenerateDrawError", "sample_unit_sphere", "sample_radius", "sample_population",
     "splitmix64", "derive_seed"
 ]
@@ -82,20 +83,33 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     return state
 
 
-def _check_positive_int(law, name: str):
-    value = getattr(law, name)
+def _chi_square(rng: np.random.Generator, df: int, m: int) -> np.ndarray:
+    """m draws of chi2_df; exact normal-sum construction up to df = 64."""
+    if df <= CHI_EXACT_DF_MAX:
+        z = rng.standard_normal((m, df))
+        return np.einsum("ij,ij->i", z, z)
+    return 2.0 * rng.standard_gamma(0.5 * df, size=m)
+
+
+def _check_positive_int(radial, name: str):
+    value = getattr(radial, name)
     if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{type(law).__name__} '{name}' must be a positive integer, got {value!r}")
+        raise ValueError(f"{type(radial).__name__} '{name}' must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class ChiRadius:
     """R = sqrt(chi2_df); nonnegative.  With df = d the population is N(0, I_d)."""
 
+    name: typing.ClassVar[str] = "chi"
+    params: typing.ClassVar[tuple[str, ...]] = ("df",)
     df: int
 
     def __post_init__(self):
         _check_positive_int(self, "df")
+
+    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        return np.sqrt(_chi_square(rng, self.df, m))
 
 
 @dataclass(frozen=True)
@@ -106,6 +120,8 @@ class ScaledFRootRadius:
     freedom; p = 1 gives the multivariate Cauchy, which has no finite mean.
     """
 
+    name: typing.ClassVar[str] = "scaled-f-root"
+    params: typing.ClassVar[tuple[str, ...]] = ("df", "p")
     df: int
     p: int
 
@@ -113,29 +129,46 @@ class ScaledFRootRadius:
         _check_positive_int(self, "df")
         _check_positive_int(self, "p")
 
+    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        num = _chi_square(rng, self.df, m) / self.df
+        den = _chi_square(rng, self.p, m) / self.p
+        return np.sqrt(self.df * num / den)
+
 
 @dataclass(frozen=True)
 class ConstantRadius:
     """R = value exactly; value must be nonzero (may be negative)."""
 
+    name: typing.ClassVar[str] = "constant"
+    params: typing.ClassVar[tuple[str, ...]] = ("c",)
     value: float
 
     def __post_init__(self):
         if self.value == 0:
             raise ValueError("ConstantRadius value must be nonzero")
 
+    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        return np.full(m, float(self.value))
+
 
 @dataclass(frozen=True)
 class SignedChiRadius:
     """R = +/- sqrt(chi2_df) with an independent fair sign."""
 
+    name: typing.ClassVar[str] = "signed-chi"
+    params: typing.ClassVar[tuple[str, ...]] = ("df",)
     df: int
 
     def __post_init__(self):
         _check_positive_int(self, "df")
 
+    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        return np.sqrt(_chi_square(rng, self.df, m)) * (rng.integers(0, 2, size=m) * 2 - 1)
+
 
 RadialLaw = ChiRadius | ScaledFRootRadius | ConstantRadius | SignedChiRadius
+
+RADIAL_KINDS = {law.name: law for law in typing.get_args(RadialLaw)}
 
 
 class Coupling(Enum):
@@ -175,7 +208,8 @@ class PopulationSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        _kind_of(self.radial)
+        if not isinstance(self.radial, RadialLaw):
+            raise TypeError(f"unknown radial law: {self.radial!r}")
         if not isinstance(self.coupling, Coupling):
             raise TypeError(f"unknown coupling: {self.coupling!r}")
 
@@ -224,58 +258,6 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int | None = No
     return u[:, 0] if size is None else u
 
 
-def _chi_square(rng: np.random.Generator, df: int, m: int) -> np.ndarray:
-    """m draws of chi2_df; exact normal-sum construction up to df = 64."""
-    if df <= CHI_EXACT_DF_MAX:
-        z = rng.standard_normal((m, df))
-        return np.einsum("ij,ij->i", z, z)
-    return 2.0 * rng.standard_gamma(0.5 * df, size=m)
-
-
-def _draw_chi(law, rng, m):
-    return np.sqrt(_chi_square(rng, law.df, m))
-
-
-def _draw_scaled_f_root(law, rng, m):
-    num = _chi_square(rng, law.df, m) / law.df
-    den = _chi_square(rng, law.p, m) / law.p
-    return np.sqrt(law.df * num / den)
-
-
-def _draw_signed_chi(law, rng, m):
-    return _draw_chi(law, rng, m) * (rng.integers(0, 2, size=m) * 2 - 1)
-
-
-@dataclass(frozen=True)
-class RadialKind:
-    """A radial law as configs name it.
-
-    ``params`` lists the constructor arguments of ``law`` in order: ``df``
-    is tied to the population dimension, the others (``p``, ``c``) come
-    from the ``PopulationTemplate``.  ``draw(law, rng, m)`` returns m radii.
-    """
-
-    law: type
-    params: tuple[str, ...]
-    draw: Callable[[RadialLaw, np.random.Generator, int], np.ndarray]
-
-
-# The one place a radial law is registered: config and CLI name -> kind.
-RADIAL_KINDS = {
-    "chi": RadialKind(ChiRadius, ("df",), _draw_chi),
-    "scaled-f-root": RadialKind(ScaledFRootRadius, ("df", "p"), _draw_scaled_f_root),
-    "constant": RadialKind(ConstantRadius, ("c",), lambda law, rng, m: np.full(m, float(law.value))),
-    "signed-chi": RadialKind(SignedChiRadius, ("df",), _draw_signed_chi),
-}
-
-
-def _kind_of(law) -> RadialKind:
-    for kind in RADIAL_KINDS.values():
-        if type(law) is kind.law:
-            return kind
-    raise TypeError(f"unknown radial law: {law!r}")
-
-
 def sample_radius(
     law: RadialLaw, u: np.ndarray, coupling: Coupling, rng: np.random.Generator
 ) -> float | np.ndarray:
@@ -289,7 +271,7 @@ def sample_radius(
     """
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 1
-    r = _kind_of(law).draw(law, rng, 1 if scalar else u.shape[1])
+    r = law.draw(rng, 1 if scalar else u.shape[1])
     if coupling is Coupling.SIGN_U1:
         r = r * (1.0 + 0.5 * np.sign(u[0]))  # u[0]: first coordinate of each column
     elif coupling is not Coupling.INDEPENDENT:
@@ -349,5 +331,5 @@ class PopulationTemplate(Record):
     def instantiate(self, dim: int, seed: int) -> PopulationSpec:
         kind = RADIAL_KINDS[self.radial]
         values = {"df": dim, "p": self.p, "c": self.c}
-        law = kind.law(*(values[name] for name in kind.params))
+        law = kind(*(values[name] for name in kind.params))
         return PopulationSpec(dim=dim, radial=law, coupling=self.coupling, seed=seed)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from tylerlaw import (
@@ -114,6 +116,20 @@ class TestTyler:
         base = tyler(X).estimate
         scaled = tyler(X * scales).estimate
         assert np.max(np.abs(base - scaled)) <= 1e-8
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), ratio=st.integers(2, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_column_permutation_and_signed_rescaling_invariance(self, seed, d, ratio):
+        # the shape equation sums over columns and each summand ignores the
+        # column's scale and sign, so reordering and rescaling the columns
+        # leaves the fixed point where it was
+        rng = np.random.default_rng(seed)
+        n = ratio * d
+        X = rng.standard_normal((d, n)) * rng.standard_cauchy(n)
+        scales = rng.uniform(0.1, 10.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+        T = tyler(X).estimate
+        moved = tyler(X[:, rng.permutation(n)] * scales).estimate
+        assert np.linalg.norm(moved - T) <= 10 * TOL * np.linalg.norm(T)
 
     def test_orthogonal_equivariance(self):
         rng = np.random.default_rng(6)
