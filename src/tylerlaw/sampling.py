@@ -269,6 +269,8 @@ def sample_radius(
     Returns a float for a single unit vector, else an array of shape (m,)
     matching the columns of ``u``.
     """
+    if not isinstance(law, RadialLaw):
+        raise TypeError(f"unknown radial law: {law!r}")
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 1
     r = law.draw(rng, 1 if scalar else u.shape[1])

@@ -108,6 +108,11 @@ class TestRadialLaws:
         np.testing.assert_array_equal(np.unique(r[u[0] > 0]), [3.0])
         np.testing.assert_array_equal(np.unique(r[u[0] < 0]), [1.0])
 
+    def test_unknown_law_rejected(self):
+        rng = np.random.default_rng(11)
+        with pytest.raises(TypeError, match="unknown radial law"):
+            sample_radius("chi", sample_unit_sphere(3, rng), Coupling.INDEPENDENT, rng)
+
     def test_scalar_u_scalar_radius(self):
         rng = np.random.default_rng(10)
         u = sample_unit_sphere(6, rng)
