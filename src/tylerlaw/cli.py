@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .estimators import NoConvergenceError, SingularShapeError, tyler
+from .estimators import NoConvergenceError, tyler
 from .harness import (
     ExperimentConfig,
     SweepResult,
@@ -205,8 +205,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergenceError, SingularShapeError, DegenerateDrawError, OverflowError,
-            np.linalg.LinAlgError) as exc:
+    except (NoConvergenceError, DegenerateDrawError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -21,6 +21,8 @@ __all__ = [
 
 # Condition numbers above this mark a shape matrix as numerically singular.
 _COND_LIMIT = 1e14
+# Columns whose largest entry has a binary exponent beyond +-256 are rescaled.
+_EXPONENT_LIMIT = 256
 
 
 class NoConvergenceError(RuntimeError):
@@ -46,8 +48,9 @@ class TylerReport:
     iterations : int
         Number of iterations performed.
     residual : float
-        Frobenius norm of the fixed-point defect at exit; ``inf`` when the
-        partial estimate is too ill-conditioned to evaluate it.
+        Frobenius norm of the fixed-point defect at exit, computed with the
+        same kernel as the iteration; ``inf`` when the estimate cannot be
+        Cholesky-factored (the fit then raises NoConvergenceError).
     converged : bool
         Whether the relative-change stopping rule was met with a residual of
         at most sqrt(tol) times the estimate's Frobenius norm.
@@ -119,7 +122,8 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     stops when the relative Frobenius change between successive iterates
     drops to ``tol``.  The estimator is invariant under rescaling any column
     by a nonzero scalar, so it is distribution-free over generalized
-    spherical (and elliptical) populations.
+    spherical (and elliptical) populations; columns of extreme scale are
+    rescaled by exact powers of two before the iteration.
 
     Parameters
     ----------
@@ -141,10 +145,10 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         If n < d ("dimension-exceeds-sample"), some column is zero
         ("zero-column") or an entry is nan or inf ("non-finite-entry").
     NoConvergenceError
-        If the iteration cap is reached, the iterate loses positive
-        definiteness twice, or the step meets ``tol`` while the residual
-        exceeds sqrt(tol) * ||T||_F; carries the partial report (trace
-        still d).
+        If the iteration cap is reached, an iterate loses positive
+        definiteness (Cholesky fails), or the step meets ``tol`` while the
+        residual exceeds sqrt(tol) * ||T||_F (an unevaluable residual is
+        ``inf``); carries the partial report (trace still d).
     """
     X = _as_data_matrix(X)
     d, n = X.shape
@@ -156,22 +160,24 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         raise ValueError(
             f"dimension-exceeds-sample: Tyler's estimator requires n >= d, got d={d}, n={n}"
         )
-    norms = np.linalg.norm(X, axis=0)
-    if np.any(norms == 0):
-        j = int(np.argmin(norms))
-        raise ValueError(f"zero-column: column {j} of the data matrix is zero")
+    peak = np.max(np.abs(X), axis=0, initial=0.0)
+    if np.any(peak == 0):
+        raise ValueError(f"zero-column: column {int(np.argmin(peak))} of the data matrix is zero")
+    # the fit ignores column scales, and scaling a column by a power of two
+    # is exact, so columns whose squares could overflow or underflow are
+    # brought near 1; X is copied only then, and in-range data keeps its bits
+    _, exponent = np.frexp(peak)
+    if np.any(np.abs(exponent) > _EXPONENT_LIMIT):
+        X = np.ldexp(X, -exponent)
 
     def _report(omega, iterations, converged):
-        # a failed fit still reports its partial state; an unevaluable
-        # residual there is inf rather than a second error
+        # an iterate that cannot be factored has residual inf.  The step also
+        # vanishes on a degenerate iterate when the existence condition
+        # fails, so only a small residual means the equation is solved
         try:
-            residual = tyler_residual(X, omega)
-        except SingularShapeError:
-            if converged:
-                raise
+            residual = _defect(X, omega)
+        except LinAlgError:
             residual = float("inf")
-        # the step also vanishes on a degenerate iterate when the existence
-        # condition fails; only a small residual means the equation is solved
         solved = bool(residual <= math.sqrt(tol) * np.linalg.norm(omega, "fro"))
         report = TylerReport(
             estimate=omega,
@@ -191,41 +197,30 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
 
     omega = np.eye(d)
     steps: list[float] = []
-    jitter_used = False
-
     for iterations in range(1, max_iter + 1):
-        jittered_now = False
         try:
             nxt = _tyler_rhs(X, omega)
         except LinAlgError:
-            if jitter_used:
-                raise NoConvergenceError(
-                    "no-convergence: iterate lost positive definiteness twice "
-                    "(columns may be concentrated on a subspace)",
-                    _report(omega, iterations - 1, False),
-                ) from None
-            # one-shot diagonal jitter, then give up on the next breakdown
-            jitter_used = jittered_now = True
-            omega = omega + (1e-12 * d) * np.eye(d)
-            try:
-                nxt = _tyler_rhs(X, omega)
-            except LinAlgError:
-                raise NoConvergenceError(
-                    "no-convergence: iterate not positive definite after jitter",
-                    _report(omega, iterations - 1, False),
-                ) from None
+            raise NoConvergenceError(
+                "no-convergence: iterate lost positive definiteness "
+                "(columns may be concentrated on a subspace)",
+                _report(omega, iterations - 1, False),
+            ) from None
         nxt *= d / np.trace(nxt)
         delta = np.linalg.norm(nxt - omega, "fro") / np.linalg.norm(omega, "fro")
         steps.append(float(delta))
         omega = nxt
-        # a jittered step moved the iterate artificially; never accept it
-        if delta <= tol and not jittered_now:
+        if delta <= tol:
             return _report(omega, iterations, True)
 
     raise NoConvergenceError(
         f"no-convergence: {max_iter} iterations without meeting tol={tol}",
         _report(omega, max_iter, False),
     )
+
+
+def _defect(X: np.ndarray, shape: np.ndarray) -> float:
+    return float(np.linalg.norm(_tyler_rhs(X, shape) - shape, "fro"))
 
 
 def tyler_residual(X, shape) -> float:
@@ -249,7 +244,6 @@ def tyler_residual(X, shape) -> float:
             f"exceeds {_COND_LIMIT:.0e}"
         )
     try:
-        G = _tyler_rhs(X, shape)
+        return _defect(X, shape)
     except LinAlgError as exc:  # PD check passed but factorization still failed
         raise SingularShapeError(f"singular-shape: factorization failed ({exc})") from None
-    return float(np.linalg.norm(G - shape, "fro"))
