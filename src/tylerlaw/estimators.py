@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import daxpy, ddot, dsyrk
+from scipy.linalg.lapack import dgelss
 
 __all__ = [
     "TylerReport", "NoConvergenceError", "SingularShapeError", "sample_covariance", "tyler",
@@ -23,6 +24,8 @@ __all__ = [
 _COND_LIMIT = 1e14
 # Columns whose largest entry has a binary exponent beyond +-256 are rescaled.
 _EXPONENT_LIMIT = 256
+# Anderson acceleration combines the last this many steps (Walker & Ni 2011).
+_ANDERSON_DEPTH = 5
 
 
 class NoConvergenceError(RuntimeError):
@@ -46,16 +49,20 @@ class TylerReport:
     estimate : numpy.ndarray
         Symmetric (d, d) scatter estimate with trace d (also on failure).
     iterations : int
-        Number of iterations performed.
+        Number of evaluations of the fixed-point map, including those of
+        rejected extrapolations and of the plain steps that replace them.
     residual : float
-        Frobenius norm of the fixed-point defect at exit, computed with the
-        same kernel as the iteration; ``inf`` when the estimate cannot be
-        Cholesky-factored (the fit then raises NoConvergenceError).
+        Frobenius norm of the fixed-point defect ||F(T) - T||_F of the
+        returned estimate, from the map evaluation the iteration made on it;
+        ``inf`` when the estimate cannot be Cholesky-factored or its map
+        value is not finite (the fit then raises NoConvergenceError).
     converged : bool
-        Whether the relative-change stopping rule was met with a residual of
-        at most sqrt(tol) times the estimate's Frobenius norm.
+        Whether ``residual <= tol * ||estimate||_F``: the shape equation is
+        solved to ``tol``.
     step_history : tuple of float
-        Relative Frobenius change of the iterate, one entry per iteration.
+        Relative residual ||F(T) - T||_F / ||T||_F of each evaluated
+        iterate, one entry per map evaluation (``inf`` for one that could
+        not be evaluated).
     boundary_regime : bool
         True when n == d, where existence holds but convergence can be slow
         and the fixed point may be non-unique.
@@ -117,10 +124,16 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
 
         T = (d/n) * sum_j X_j X_j^t / (X_j^t T^{-1} X_j),
 
-    starting from the identity.  Every iterate is rescaled to trace d (the
-    equation determines T only up to a scalar multiple), and the iteration
-    stops when the relative Frobenius change between successive iterates
-    drops to ``tol``.  The estimator is invariant under rescaling any column
+    starting from the identity, for the map T -> d F(T) / tr F(T), where F
+    is the right-hand side (the equation determines T only up to a scalar
+    multiple, so every iterate has trace d).  The map is accelerated with
+    type-II Anderson mixing of the last five steps, safeguarded: an
+    extrapolated iterate that cannot be Cholesky-factored, has a non-finite
+    map value or a larger relative residual than the last accepted iterate
+    is replaced by the plain map step from that iterate, and the history is
+    cleared.  The iteration stops on one rule, ||F(T) - T||_F <= tol *
+    ||T||_F, measured on the map evaluation it already makes, and returns
+    the iterate measured.  The estimator is invariant under rescaling any column
     by a nonzero scalar, so it is distribution-free over generalized
     spherical (and elliptical) populations; columns of extreme scale are
     rescaled by exact powers of two before the iteration.
@@ -130,9 +143,9 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     X : array_like
         Data matrix of shape (d, n) with n >= d and no zero column.
     tol : float
-        Relative Frobenius stopping tolerance (> 0).
+        Relative Frobenius residual tolerance (> 0).
     max_iter : int
-        Iteration cap (>= 1).
+        Cap on map evaluations (>= 1).
 
     Returns
     -------
@@ -145,10 +158,10 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         If n < d ("dimension-exceeds-sample"), some column is zero
         ("zero-column") or an entry is nan or inf ("non-finite-entry").
     NoConvergenceError
-        If the iteration cap is reached, an iterate loses positive
-        definiteness (Cholesky fails), or the step meets ``tol`` while the
-        residual exceeds sqrt(tol) * ||T||_F (an unevaluable residual is
-        ``inf``); carries the partial report (trace still d).
+        If the cap is reached before the residual meets ``tol``, or a plain
+        map step cannot be evaluated (the iterate lost positive
+        definiteness, residual ``inf``); carries the partial report (trace
+        still d).  Columns concentrated on a subspace end either way.
     """
     X = _as_data_matrix(X)
     d, n = X.shape
@@ -170,57 +183,114 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     if np.any(np.abs(exponent) > _EXPONENT_LIMIT):
         X = np.ldexp(X, -exponent)
 
-    def _report(omega, iterations, converged):
-        # an iterate that cannot be factored has residual inf.  The step also
-        # vanishes on a degenerate iterate when the existence condition
-        # fails, so only a small residual means the equation is solved
+    steps: list[float] = []
+
+    def evaluate(omega):
+        # one kernel evaluation: the trace-d map value d F / tr F and the
+        # residual ||F(omega) - omega||_F, or (None, inf) when omega cannot
+        # be factored or F(omega) is not finite
         try:
-            residual = _defect(X, omega)
+            rhs = _tyler_rhs(X, omega)
         except LinAlgError:
-            residual = float("inf")
-        solved = bool(residual <= math.sqrt(tol) * np.linalg.norm(omega, "fro"))
-        report = TylerReport(
+            rhs = None
+        else:
+            gap = rhs - omega
+            residual = math.sqrt(_dot(gap, gap))
+        if rhs is None or not math.isfinite(residual):
+            steps.append(math.inf)
+            return None, math.inf
+        steps.append(residual / math.sqrt(_dot(omega, omega)))
+        rhs *= d / np.trace(rhs)
+        return rhs, residual
+
+    def report(omega, residual, converged):
+        return TylerReport(
             estimate=omega,
-            iterations=iterations,
+            iterations=len(steps),
             residual=residual,
-            converged=converged and solved,
+            converged=converged,
             step_history=tuple(steps),
             boundary_regime=(n == d),
         )
-        if converged and not solved:
-            raise NoConvergenceError(
-                f"no-convergence: step met tol={tol} but the residual is {residual:.3g} "
-                "(columns may be concentrated on a subspace)",
-                report,
-            )
-        return report
 
     omega = np.eye(d)
-    steps: list[float] = []
-    for iterations in range(1, max_iter + 1):
-        try:
-            nxt = _tyler_rhs(X, omega)
-        except LinAlgError:
-            raise NoConvergenceError(
-                "no-convergence: iterate lost positive definiteness "
-                "(columns may be concentrated on a subspace)",
-                _report(omega, iterations - 1, False),
-            ) from None
-        nxt *= d / np.trace(nxt)
-        delta = np.linalg.norm(nxt - omega, "fro") / np.linalg.norm(omega, "fro")
-        steps.append(float(delta))
-        omega = nxt
-        if delta <= tol:
-            return _report(omega, iterations, True)
+    mapped, residual = evaluate(omega)
+    defect = mapped - omega
+    relative = steps[-1]
+    # Anderson history of the accepted iterates: differences of successive
+    # map values and of successive map defects (map value minus iterate),
+    # in slots that fill in turn, and the Gram matrix of the defect
+    # differences; ``added`` counts differences since the last restart
+    dmapped: list = [None] * _ANDERSON_DEPTH
+    ddefect: list = [None] * _ANDERSON_DEPTH
+    gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
+    added = 0
+    while relative > tol and len(steps) < max_iter:
+        accepted = False
+        if added:
+            m = min(added, _ANDERSON_DEPTH)
+            candidate = _extrapolate(mapped, defect, dmapped[:m], ddefect[:m], gram[:m, :m])
+            candidate *= d / np.trace(candidate)
+            if math.isfinite(_dot(candidate, candidate)):
+                new_mapped, new_residual = evaluate(candidate)
+                accepted = new_mapped is not None and steps[-1] <= relative
+            if not accepted:
+                # safeguard: an extrapolation that cannot be evaluated, or
+                # whose residual grows, gives way to the plain step from the
+                # accepted iterate, and the history starts over
+                added = 0
+                if len(steps) == max_iter:
+                    break
+        if not accepted:
+            candidate = mapped
+            new_mapped, new_residual = evaluate(candidate)
+            if new_mapped is None:
+                raise NoConvergenceError(
+                    "no-convergence: iterate lost positive definiteness "
+                    "(columns may be concentrated on a subspace)",
+                    report(candidate, math.inf, False),
+                )
+        new_defect = new_mapped - candidate
+        slot = added % _ANDERSON_DEPTH
+        dmapped[slot] = new_mapped - mapped
+        ddefect[slot] = new_defect - defect
+        added += 1
+        for j in range(min(added, _ANDERSON_DEPTH)):
+            gram[slot, j] = gram[j, slot] = _dot(ddefect[slot], ddefect[j])
+        omega, mapped, defect = candidate, new_mapped, new_defect
+        residual, relative = new_residual, steps[-1]
 
-    raise NoConvergenceError(
-        f"no-convergence: {max_iter} iterations without meeting tol={tol}",
-        _report(omega, max_iter, False),
-    )
+    if relative > tol:
+        raise NoConvergenceError(
+            f"no-convergence: {max_iter} iterations without meeting tol={tol}",
+            report(omega, residual, False),
+        )
+    return report(omega, residual, True)
 
 
-def _defect(X: np.ndarray, shape: np.ndarray) -> float:
-    return float(np.linalg.norm(_tyler_rhs(X, shape) - shape, "fro"))
+def _dot(A: np.ndarray, B: np.ndarray) -> float:
+    # Frobenius inner product in scipy's BLAS, the library the kernel runs
+    # in; ravel copies only arrays that are not C-ordered, which the loop
+    # never makes
+    return ddot(A.ravel(), B.ravel())
+
+
+def _extrapolate(mapped, defect, dmapped, ddefect, gram) -> np.ndarray:
+    # type-II Anderson iterate  mapped - sum_i g_i dmapped[i],  where g
+    # minimizes ||defect - sum_i g_i ddefect[i]||_F.  g solves the m x m
+    # normal equations with the Gram matrix of ddefect instead of a
+    # (d*d, m) least-squares problem; the singular-value cutoff keeps a
+    # nearly dependent history from producing huge weights.  Should the
+    # SVD fail, the weights are nan and the caller's finiteness check
+    # rejects the iterate
+    rhs = np.array([_dot(u, defect) for u in ddefect])
+    _, weights, _, _, _, info = dgelss(gram, rhs, cond=1e-12)
+    if info != 0:
+        weights = np.full(len(ddefect), np.nan)
+    flat = mapped.ravel().copy()
+    for g, u in zip(weights, dmapped):
+        flat = daxpy(u.ravel(), flat, a=-g)
+    return flat.reshape(mapped.shape)
 
 
 def tyler_residual(X, shape) -> float:
@@ -244,6 +314,7 @@ def tyler_residual(X, shape) -> float:
             f"exceeds {_COND_LIMIT:.0e}"
         )
     try:
-        return _defect(X, shape)
+        defect = _tyler_rhs(X, shape) - shape
     except LinAlgError as exc:  # PD check passed but factorization still failed
         raise SingularShapeError(f"singular-shape: factorization failed ({exc})") from None
+    return math.sqrt(_dot(defect, defect))

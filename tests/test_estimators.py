@@ -168,6 +168,25 @@ class TestTyler:
         assert residual <= np.sqrt(TOL) * np.linalg.norm(T)
         assert abs(residual - tyler_residual(X, T)) <= bound
 
+    @pytest.mark.parametrize("d, n", [(100, 105), (100, 120), (64, 6400)])
+    def test_converged_fit_solves_the_equation_to_tol(self, d, n):
+        # converged means the stop rule ||F(T) - T||_F <= tol ||T||_F held;
+        # the independent checker must see the same on the returned estimate
+        X = sample_population(PopulationSpec(d, ScaledFRootRadius(d, 1), seed=n), n)
+        rep = tyler(X, tol=TOL)
+        assert rep.converged
+        assert tyler_residual(X, rep.estimate) <= TOL * np.linalg.norm(rep.estimate)
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), ratio=st.integers(2, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_converged_fit_solves_the_equation_on_small_samples(self, seed, d, ratio):
+        rng = np.random.default_rng(seed)
+        n = ratio * d
+        X = rng.standard_normal((d, n)) * rng.standard_cauchy(n)
+        rep = tyler(X, tol=TOL)
+        assert rep.converged
+        assert tyler_residual(X, rep.estimate) <= TOL * np.linalg.norm(rep.estimate)
+
     def test_requires_enough_observations(self):
         with pytest.raises(ValueError, match="dimension-exceeds-sample"):
             tyler(np.ones((3, 2)))
