@@ -133,8 +133,8 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     is replaced by the plain map step from that iterate, and the history is
     cleared.  The iteration stops on one rule, ||F(T) - T||_F <= tol *
     ||T||_F, measured on the map evaluation it already makes, and returns
-    the iterate measured.  The estimator is invariant under rescaling any column
-    by a nonzero scalar, so it is distribution-free over generalized
+    the iterate measured.  The estimator is invariant under rescaling any
+    column by a nonzero scalar, so it is distribution-free over generalized
     spherical (and elliptical) populations; columns of extreme scale are
     rescaled by exact powers of two before the iteration.
 
