@@ -162,8 +162,7 @@ class TestTyler:
         bound = 10 * TOL * np.linalg.norm(T)
         assert np.linalg.norm(tyler(Q @ X).estimate - Q @ T @ Q.T) <= bound
         # the transported matrix solves the rotated fixed-point equation
-        # within the converged fit's residual gate, and as well as T solves
-        # the original one
+        # within sqrt(tol) ||T||_F, and as well as T solves the original one
         residual = tyler_residual(Q @ X, Q @ T @ Q.T)
         assert residual <= np.sqrt(TOL) * np.linalg.norm(T)
         assert abs(residual - tyler_residual(X, T)) <= bound
@@ -222,8 +221,8 @@ class TestTyler:
         assert not report.converged
         assert report.residual == np.inf
         assert abs(np.trace(report.estimate) - 2) <= 1e-10 * 2
-        # 28 of 30 columns on e1 (d = 3): the step meets tol on an iterate
-        # whose condition number is above 1e14
+        # 28 of 30 columns on e1 (d = 3): the residual never meets tol
+        # while the iterate degenerates
         X = np.random.default_rng(22).standard_normal((3, 30))
         X[1:, :28] = 0.0
         with pytest.raises(NoConvergenceError, match="no-convergence") as exc:
@@ -232,8 +231,8 @@ class TestTyler:
 
     def test_rejects_columns_concentrated_on_a_line(self):
         # 30 of 40 columns on e1 (d = 4) break Tyler's existence condition
-        # (n/d = 10 or more on a line); the relative step still collapses, so
-        # only the residual shows that the estimate solves nothing
+        # (n/d = 10 or more on a line), so no estimate solves the equation
+        # and the residual never meets tol
         rng = np.random.default_rng(0)
         X = rng.standard_normal((4, 40))
         X[1:, :30] = 0.0
