@@ -31,6 +31,12 @@ def reference_rhs(X, omega):
     return 0.5 * (G + G.T)
 
 
+def cauchy_scaled_sample(seed, d, n):
+    # Gaussian columns scaled by Cauchy draws, which the fit ignores
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((d, n)) * rng.standard_cauchy(n)
+
+
 def scaled_identity_data(d):
     # columns sqrt(d) * e_j: sample covariance and Tyler estimate are both I
     return np.sqrt(d) * np.eye(d)
@@ -244,13 +250,29 @@ class TestTyler:
         assert abs(np.trace(report.estimate) - 4) <= 1e-10 * 4
 
     def test_no_convergence_on_iteration_cap(self):
-        X = sample_population(PopulationSpec(4, ChiRadius(4), seed=12), 40)
-        with pytest.raises(NoConvergenceError) as exc:
-            tyler(X, tol=1e-15, max_iter=2)
-        report = exc.value.report
-        assert report.iterations == 2
-        assert not report.converged
-        assert np.isfinite(report.residual)
+        # every cap below the converging count stops at exactly that many
+        # evaluations, after the same ones as the uncapped fit, and reports
+        # the residual of the estimate it returns.  The (2, 4) fits reject
+        # extrapolations, seed 0's at evaluation 4 (13 in all) and seed
+        # 282's at 3, 5 and 9 (40 in all), so some caps fall right after one
+        samples = [
+            (sample_population(PopulationSpec(4, ChiRadius(4), seed=12), 40), 1e-15),
+            (cauchy_scaled_sample(0, 2, 4), TOL),
+            (cauchy_scaled_sample(282, 2, 4), TOL),
+        ]
+        for X, tol in samples:
+            full = tyler(X, tol=tol)
+            assert full.converged
+            for k in range(1, full.iterations):
+                message = f"no-convergence: {k} iterations without meeting tol="
+                with pytest.raises(NoConvergenceError, match=message) as exc:
+                    tyler(X, tol=tol, max_iter=k)
+                report = exc.value.report
+                assert report.iterations == k
+                assert not report.converged
+                assert np.isfinite(report.residual)
+                assert report.step_history == full.step_history[:k]
+                assert report.residual == tyler_residual(X, report.estimate)
 
 
 class TestTylerResidual:
