@@ -66,7 +66,7 @@ def _cmd_tyler(args) -> int:
     _save_matrix(args.out, report.estimate)
     d, n = X.shape
     diag = dict(d=int(d), n=int(n), iterations=report.iterations, residual=report.residual,
-                converged=report.converged, boundary_regime=report.boundary_regime)
+                converged=report.converged)
     print(json.dumps(diag, sort_keys=True), file=sys.stderr)
     return 0
 

@@ -15,10 +15,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import daxpy, ddot, dsyrk
 from scipy.linalg.lapack import dgelss
 
-__all__ = [
-    "TylerReport", "NoConvergenceError", "SingularShapeError", "sample_covariance", "tyler",
-    "tyler_residual"
-]
+__all__ = ["TylerReport", "NoConvergenceError", "sample_covariance", "tyler", "tyler_residual"]
 
 # Condition numbers above this mark a shape matrix as numerically singular.
 _COND_LIMIT = 1e14
@@ -34,10 +31,6 @@ class NoConvergenceError(RuntimeError):
     def __init__(self, message: str, report: "TylerReport"):
         super().__init__(message)
         self.report = report
-
-
-class SingularShapeError(RuntimeError):
-    """A shape matrix is numerically singular (condition estimate > 1e14)."""
 
 
 @dataclass
@@ -63,9 +56,6 @@ class TylerReport:
         Relative residual ||F(T) - T||_F / ||T||_F of each evaluated
         iterate, one entry per map evaluation (``inf`` for one that could
         not be evaluated).
-    boundary_regime : bool
-        True when n == d, where existence holds but convergence can be slow
-        and the fixed point may be non-unique.
     """
 
     estimate: np.ndarray = field(compare=False)
@@ -73,7 +63,6 @@ class TylerReport:
     residual: float
     converged: bool
     step_history: tuple[float, ...]
-    boundary_regime: bool
 
 
 def _as_data_matrix(X) -> np.ndarray:
@@ -210,7 +199,6 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
             residual=residual,
             converged=converged,
             step_history=tuple(steps),
-            boundary_regime=(n == d),
         )
 
     omega = np.eye(d)
@@ -226,30 +214,29 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
     added = 0
     while relative > tol and len(steps) < max_iter:
-        accepted = False
+        # each pass evaluates one candidate: the Anderson extrapolation while
+        # there is a history, else the plain map step from the accepted iterate
         if added:
             m = min(added, _ANDERSON_DEPTH)
             candidate = _extrapolate(mapped, defect, dmapped[:m], ddefect[:m], gram[:m, :m])
             candidate *= d / np.trace(candidate)
-            if math.isfinite(_dot(candidate, candidate)):
-                new_mapped, new_residual = evaluate(candidate)
-                accepted = new_mapped is not None and steps[-1] <= relative
-            if not accepted:
-                # safeguard: an extrapolation that cannot be evaluated, or
-                # whose residual grows, gives way to the plain step from the
-                # accepted iterate, and the history starts over
-                added = 0
-                if len(steps) == max_iter:
-                    break
-        if not accepted:
+        else:
             candidate = mapped
+        new_mapped = None
+        if math.isfinite(_dot(candidate, candidate)):
             new_mapped, new_residual = evaluate(candidate)
-            if new_mapped is None:
-                raise NoConvergenceError(
-                    "no-convergence: iterate lost positive definiteness "
-                    "(columns may be concentrated on a subspace)",
-                    report(candidate, math.inf, False),
-                )
+        if added and (new_mapped is None or steps[-1] > relative):
+            # safeguard: an extrapolation that cannot be evaluated, or whose
+            # residual grows, clears the history, so the next pass takes the
+            # plain step from the accepted iterate
+            added = 0
+            continue
+        if new_mapped is None:
+            raise NoConvergenceError(
+                "no-convergence: iterate lost positive definiteness "
+                "(columns may be concentrated on a subspace)",
+                report(candidate, math.inf, False),
+            )
         new_defect = new_mapped - candidate
         slot = added % _ANDERSON_DEPTH
         dmapped[slot] = new_mapped - mapped
@@ -301,20 +288,20 @@ def tyler_residual(X, shape) -> float:
 
     Raises
     ------
-    SingularShapeError
+    ValueError
         If ``shape`` is numerically singular or not positive definite
-        (eigenvalue condition estimate above 1e14).
+        (eigenvalue condition estimate above 1e14, "singular-shape").
     """
     X = _as_data_matrix(X)
     shape = np.asarray(shape, dtype=float)
     w = np.linalg.eigvalsh(shape)
     if w[0] <= 0 or w[-1] / w[0] > _COND_LIMIT:
-        raise SingularShapeError(
+        raise ValueError(
             f"singular-shape: condition estimate {w[-1] / w[0] if w[0] > 0 else np.inf:.3g} "
             f"exceeds {_COND_LIMIT:.0e}"
         )
     try:
         defect = _tyler_rhs(X, shape) - shape
     except LinAlgError as exc:  # PD check passed but factorization still failed
-        raise SingularShapeError(f"singular-shape: factorization failed ({exc})") from None
+        raise ValueError(f"singular-shape: factorization failed ({exc})") from None
     return math.sqrt(_dot(defect, defect))

@@ -1,4 +1,4 @@
-"""Eigenvalues, spectral norm, standardization, and empirical spectral CDFs.
+"""Eigenvalues, spectral norm and standardization of symmetric matrices.
 
 An empirical spectral distribution (ESD) is represented as the ascending
 array of eigenvalues of a symmetric matrix; the induced CDF places mass 1/d
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["symmetric_eigenvalues", "spectral_norm", "standardize", "esd_eval"]
+__all__ = ["symmetric_eigenvalues", "spectral_norm", "standardize"]
 
 
 def _as_symmetric(A) -> np.ndarray:
@@ -48,17 +48,3 @@ def standardize(A, n_samples: int) -> np.ndarray:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     d = A.shape[0]
     return np.sqrt(n_samples / d) * (A - np.eye(d))
-
-
-def esd_eval(eigenvalues, x):
-    """Empirical spectral CDF: fraction of eigenvalues <= x.
-
-    ``eigenvalues`` must be sorted ascending; ``x`` may be a scalar or an
-    array.  The step function is right-continuous by construction.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("eigenvalues must be a nonempty 1-D array")
-    counts = np.searchsorted(lam, x, side="right")
-    out = counts / lam.size
-    return float(out) if np.ndim(x) == 0 else out

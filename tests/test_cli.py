@@ -63,6 +63,7 @@ class TestTylerCommand:
         shape_csv = tmp_path / "T.csv"
         assert run_cli("tyler", "--in", sample_csv, "--out", shape_csv) == 0
         diag = json.loads(capsys.readouterr().err.strip())
+        assert set(diag) == {"d", "n", "iterations", "residual", "converged"}
         assert diag["converged"] is True
         assert diag["residual"] <= 1e-8
         T = np.loadtxt(shape_csv, delimiter=",")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tylerlaw import esd_eval, spectral_norm, standardize, symmetric_eigenvalues
+from tylerlaw import spectral_norm, standardize, symmetric_eigenvalues
 
 
 def random_symmetric(rng, d, scale=1.0):
@@ -94,31 +94,3 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize(np.ones((2, 3)), 5)
 
-
-class TestEsdEval:
-    def test_step_values(self):
-        lam = np.array([1.0, 2.0, 3.0])
-        assert esd_eval(lam, 2.0) == pytest.approx(2.0 / 3.0)
-        assert esd_eval(lam, 0.5) == 0.0
-        assert esd_eval(lam, 3.0) == 1.0
-        assert esd_eval(lam, 10.0) == 1.0
-
-    def test_right_continuity_and_multiplicity(self):
-        lam = np.array([0.0, 0.0, 1.0, 1.0])
-        assert esd_eval(lam, 0.0) == 0.5  # jump included at the atom
-        assert esd_eval(lam, -1e-12) == 0.0
-        assert esd_eval(lam, 1.0) == 1.0
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_monotone(self, seed):
-        rng = np.random.default_rng(seed)
-        lam = np.sort(rng.standard_normal(8))
-        xs = np.sort(rng.standard_normal(20))
-        vals = esd_eval(lam, xs)
-        assert np.all(np.diff(vals) >= 0)
-        assert np.all((vals >= 0) & (vals <= 1))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            esd_eval(np.array([]), 0.0)
