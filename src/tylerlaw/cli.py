@@ -200,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
+    try:  # numerical failures first: numpy's LinAlgError is a ValueError
         return args.func(args)
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (NoConvergenceError, DegenerateDrawError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, KeyError, TypeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"io-error: {exc}", file=sys.stderr)
         return 4

@@ -15,6 +15,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import daxpy, ddot, dsyrk
 from scipy.linalg.lapack import dgelss
 
+from .spectral import symmetric_eigenvalues
+
 __all__ = ["TylerReport", "NoConvergenceError", "sample_covariance", "tyler", "tyler_residual"]
 
 # Condition numbers above this mark a shape matrix as numerically singular.
@@ -92,8 +94,10 @@ def sample_covariance(X) -> np.ndarray:
 def _tyler_rhs(X: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Evaluate (d/n) * sum_j X_j X_j^t / (X_j^t omega^{-1} X_j)."""
     d, n = X.shape
-    chol = cho_factor(omega, lower=True)
-    q = np.einsum("ij,ij->j", X, cho_solve(chol, X))
+    # no finiteness scans: X has passed `_as_data_matrix`, and omega is an
+    # iterate `tyler` found finite or a shape `tyler_residual` has checked
+    chol = cho_factor(omega, lower=True, check_finite=False)
+    q = np.einsum("ij,ij->j", X, cho_solve(chol, X, check_finite=False))
     Y = X / np.sqrt(q)
     # the Gram product runs in scipy's BLAS like the Cholesky calls: numpy's
     # `@` would wake a second OpenBLAS thread pool that fights this one.
@@ -289,12 +293,12 @@ def tyler_residual(X, shape) -> float:
     Raises
     ------
     ValueError
-        If ``shape`` is numerically singular or not positive definite
-        (eigenvalue condition estimate above 1e14, "singular-shape").
+        If ``shape`` is not a finite square matrix, or is numerically singular
+        or not positive definite (condition above 1e14, "singular-shape").
     """
     X = _as_data_matrix(X)
     shape = np.asarray(shape, dtype=float)
-    w = np.linalg.eigvalsh(shape)
+    w = symmetric_eigenvalues(shape)
     if w[0] <= 0 or w[-1] / w[0] > _COND_LIMIT:
         raise ValueError(
             f"singular-shape: condition estimate {w[-1] / w[0] if w[0] > 0 else np.inf:.3g} "

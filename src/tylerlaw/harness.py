@@ -200,7 +200,7 @@ def run_trial(cfg: ExperimentConfig, pair_index: int, replicate: int) -> TrialRe
         if "covariance" in mats and "tyler" in mats:
             trial.cross_norm = float(spectral_norm(np.sqrt(n / d) * (mats["tyler"] - mats["covariance"])))
         trial.spectra = spectra if cfg.save_spectra else None
-    except (ValueError, OverflowError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OverflowError, RuntimeError) as exc:
         trial.results, trial.cross_norm = {}, None
         trial.error = f"{type(exc).__name__}: {exc}"
     trial.wall_time = time.perf_counter() - start

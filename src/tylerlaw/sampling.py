@@ -214,8 +214,8 @@ class PopulationSpec:
             raise TypeError(f"unknown coupling: {self.coupling!r}")
 
 
-def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw uniformly from the unit sphere S^{d-1} in R^dim.
+def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` points uniformly from the unit sphere S^{d-1} in R^dim.
 
     Normalized independent standard normals; the construction is exactly
     rotation invariant in distribution.  Draws whose raw norm falls below
@@ -227,20 +227,19 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int | None = No
         Ambient dimension, >= 1.  dim = 1 yields +1 or -1.
     rng : numpy.random.Generator
         Source of randomness.
-    size : int, optional
-        If given, draw that many points and return them as columns.
+    size : int
+        Number of points, >= 1.
 
     Returns
     -------
     numpy.ndarray
-        Shape (dim,) if size is None, else (dim, size); unit columns.
+        Shape (dim, size); unit columns.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    m = 1 if size is None else int(size)
-    if m < 1:
+    if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    z = rng.standard_normal((dim, m))
+    z = rng.standard_normal((dim, size))
     norms = np.linalg.norm(z, axis=0)
     for _ in range(_MAX_REDRAWS):
         bad = norms < _MIN_SPHERE_NORM
@@ -254,31 +253,26 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int | None = No
             "degenerate-draw: sphere sampler produced near-zero vectors "
             f"{_MAX_REDRAWS} times in a row"
         )
-    u = z / norms
-    return u[:, 0] if size is None else u
+    return z / norms
 
 
 def sample_radius(
     law: RadialLaw, u: np.ndarray, coupling: Coupling, rng: np.random.Generator
-) -> float | np.ndarray:
-    """Draw the scalar radius (or one per column of ``u``).
+) -> np.ndarray:
+    """Draw one radius per column of the (d, m) array ``u``; shape (m,).
 
     The base radius is drawn from ``law``; the coupling multiplier, if any,
     is applied last.  ``u`` must have unit column norms.
-
-    Returns a float for a single unit vector, else an array of shape (m,)
-    matching the columns of ``u``.
     """
     if not isinstance(law, RadialLaw):
         raise TypeError(f"unknown radial law: {law!r}")
     u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 1
-    r = law.draw(rng, 1 if scalar else u.shape[1])
+    r = law.draw(rng, u.shape[1])
     if coupling is Coupling.SIGN_U1:
         r = r * (1.0 + 0.5 * np.sign(u[0]))  # u[0]: first coordinate of each column
     elif coupling is not Coupling.INDEPENDENT:
         raise TypeError(f"unknown coupling: {coupling!r}")
-    return float(r[0]) if scalar else r
+    return r
 
 
 def sample_population(spec: PopulationSpec, n: int) -> np.ndarray:

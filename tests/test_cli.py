@@ -107,6 +107,17 @@ class TestSpectrumCommand:
         np.savetxt(mat, np.eye(2), delimiter=",")
         assert run_cli("spectrum", "--in", mat, "--standardize", "--out", tmp_path / "e.csv") == 2
 
+    def test_eigensolver_failure_is_numerical(self, tmp_path, monkeypatch, capsys):
+        # numpy's LinAlgError subclasses ValueError, the config-error class
+        def fail(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("tylerlaw.cli.symmetric_eigenvalues", fail)
+        mat = tmp_path / "A.csv"
+        np.savetxt(mat, np.eye(2), delimiter=",")
+        assert run_cli("spectrum", "--in", mat, "--out", tmp_path / "e.csv") == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_standardized_identity_is_zero(self, tmp_path):
         mat = tmp_path / "A.csv"
         np.savetxt(mat, np.eye(2), delimiter=",")
@@ -143,6 +154,7 @@ class TestLawCommand:
 
     def test_bad_grid(self, tmp_path):
         assert run_cli("law", "--law", "semicircle", "--grid", "2:1:0.5", "--out", tmp_path / "x.csv") == 2
+        assert run_cli("law", "--law", "semicircle", "--grid", "0:1", "--out", tmp_path / "x.csv") == 2
 
     def test_semicircle_rejects_y(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -192,17 +204,24 @@ class TestTrialAndSweep:
         assert run_cli("sweep", "--config", cfg) == 0
         assert (out / "trials.json").exists()
 
-    def test_all_trials_failed_exit_code(self, tmp_path):
+    def test_all_trials_failed_exit_code(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, estimators=["tyler"], tyler={"tol": 1e-15, "max_iter": 1}
         )
         assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "r") == 3
+        assert run_cli("trial", "--config", cfg, "--out", tmp_path / "t") == 3
+        assert "trial failed:" in capsys.readouterr().err
 
     def test_config_errors(self, tmp_path):
         missing = tmp_path / "missing.json"
         assert run_cli("sweep", "--config", missing, "--out", tmp_path / "x") == 2
         bad = write_config(tmp_path, schedule=[[8, 4]])
         assert run_cli("sweep", "--config", bad, "--out", tmp_path / "x") == 2
+        cfg = write_config(tmp_path)
+        assert run_cli("sweep", "--config", cfg) == 2  # no output directory
+        assert run_cli("trial", "--config", cfg, "--pair", 2, "--out", tmp_path / "x") == 2
+        assert run_cli("trial", "--config", cfg, "--replicate", 2, "--out", tmp_path / "x") == 2
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):

@@ -299,6 +299,19 @@ class TestTylerResidual:
         with pytest.raises(ValueError, match="singular-shape"):
             tyler_residual(X, np.diag([1.0, 1e-16]))
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            (np.diag([np.nan, 1.0]), "non-finite-entry"),
+            (np.array([[1.0, np.inf], [np.inf, 1.0]]), "non-finite-entry"),
+            (np.ones((3, 2)), "expected a square matrix"),
+        ],
+        ids=["nan-diagonal", "inf-entry", "not-square"],
+    )
+    def test_malformed_shape_rejected(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            tyler_residual(scaled_identity_data(2), shape)
+
 
 class TestTylerKernel:
     @staticmethod

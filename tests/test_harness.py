@@ -98,6 +98,13 @@ class TestConfig:
             ({"schedule": [[4.5, 40]]}, "schedule"),
             ({"schedule": {"preset": "mp"}}, "dims"),
             ({"schedule": {"preset": "mp", "dims": [8.5]}}, "dims"),
+            ({"schedule": {"preset": "wigner", "dims": [8]}}, "preset"),
+            ({"schedule": []}, "at least one"),
+            ({"schedule": [[0, 4]]}, "must be positive"),
+            ({"estimators": ["tyler", "tyler"]}, "must not repeat"),
+            ({"max_moment": 0}, "max_moment"),
+            ({"tyler": {"tol": 0.0}}, "tol > 0"),
+            ({"tyler": {"max_iter": 0}}, "max_iter >= 1"),
         ],
     )
     def test_load_time_type_checks(self, override, message):

@@ -23,8 +23,8 @@ class TestUnitSphere:
     def test_unit_norm(self):
         rng = np.random.default_rng(0)
         for d in (1, 2, 3, 17, 200):
-            u = sample_unit_sphere(d, rng)
-            assert u.shape == (d,)
+            u = sample_unit_sphere(d, rng, size=1)
+            assert u.shape == (d, 1)
             assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
 
     def test_batch_unit_norms(self):
@@ -52,12 +52,12 @@ class TestUnitSphere:
                 return np.zeros(shape)
 
         with pytest.raises(DegenerateDrawError, match="degenerate-draw"):
-            sample_unit_sphere(3, ZeroRng())
+            sample_unit_sphere(3, ZeroRng(), size=1)
 
     def test_invalid_arguments(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_unit_sphere(0, rng)
+            sample_unit_sphere(0, rng, size=1)
         with pytest.raises(ValueError):
             sample_unit_sphere(3, rng, size=0)
 
@@ -65,8 +65,9 @@ class TestUnitSphere:
 class TestRadialLaws:
     def test_constant_is_exact(self):
         rng = np.random.default_rng(4)
-        u = sample_unit_sphere(3, rng)
-        assert sample_radius(ConstantRadius(2.0), u, Coupling.INDEPENDENT, rng) == 2.0
+        u = sample_unit_sphere(3, rng, size=1)
+        r = sample_radius(ConstantRadius(2.0), u, Coupling.INDEPENDENT, rng)
+        np.testing.assert_array_equal(r, [2.0])
 
     def test_constant_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -111,13 +112,7 @@ class TestRadialLaws:
     def test_unknown_law_rejected(self):
         rng = np.random.default_rng(11)
         with pytest.raises(TypeError, match="unknown radial law"):
-            sample_radius("chi", sample_unit_sphere(3, rng), Coupling.INDEPENDENT, rng)
-
-    def test_scalar_u_scalar_radius(self):
-        rng = np.random.default_rng(10)
-        u = sample_unit_sphere(6, rng)
-        r = sample_radius(ChiRadius(6), u, Coupling.SIGN_U1, rng)
-        assert isinstance(r, float)
+            sample_radius("chi", sample_unit_sphere(3, rng, size=1), Coupling.INDEPENDENT, rng)
 
     def test_validation(self):
         with pytest.raises(ValueError):
