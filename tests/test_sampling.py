@@ -114,6 +114,12 @@ class TestRadialLaws:
         with pytest.raises(TypeError, match="unknown radial law"):
             sample_radius("chi", sample_unit_sphere(3, rng, size=1), Coupling.INDEPENDENT, rng)
 
+    def test_one_dimensional_u_rejected(self):
+        # one unit vector must be passed as a (d, 1) array
+        rng = np.random.default_rng(12)
+        with pytest.raises(ValueError, match=r"\(d, m\)"):
+            sample_radius(ChiRadius(3), np.array([1.0, 0.0, 0.0]), Coupling.INDEPENDENT, rng)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ChiRadius(0)
