@@ -267,6 +267,8 @@ def sample_radius(
     if not isinstance(law, RadialLaw):
         raise TypeError(f"unknown radial law: {law!r}")
     u = np.asarray(u, dtype=float)
+    if u.ndim != 2:
+        raise ValueError(f"u must be a (d, m) array of unit columns, got shape {u.shape}")
     r = law.draw(rng, u.shape[1])
     if coupling is Coupling.SIGN_U1:
         r = r * (1.0 + 0.5 * np.sign(u[0]))  # u[0]: first coordinate of each column
