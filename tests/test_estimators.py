@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from tylerlaw import (
     ChiRadius,
@@ -56,6 +56,12 @@ class TestSampleCovariance:
         np.testing.assert_array_equal(S, S.T)
         w = symmetric_eigenvalues(S)
         assert w.min() >= -1e-12 * np.trace(S)
+
+    @pytest.mark.parametrize("d, n", [(16, 1600), (64, 6400)])
+    def test_bit_equal_to_symmetrized_numpy_product(self, d, n):
+        X = np.random.default_rng(d).standard_normal((d, n))
+        S = (X @ X.T) / n
+        np.testing.assert_array_equal(sample_covariance(X), 0.5 * (S + S.T))
 
     def test_gaussian_concentration(self):
         X = sample_population(PopulationSpec(10, ChiRadius(10), seed=42), 100_000)
@@ -329,6 +335,11 @@ class TestTylerKernel:
         X, omega = self.pair(100, 120)
         got, want = estimators._tyler_rhs(X, omega), reference_rhs(X, omega)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_rejects_omega_that_is_not_positive_definite(self):
+        X = np.random.default_rng(0).standard_normal((2, 4))
+        with pytest.raises(LinAlgError):
+            estimators._tyler_rhs(X, np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize("d, n", [(4, 40), (100, 120)])
     def test_exactly_symmetric(self, d, n):

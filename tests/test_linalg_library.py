@@ -1,0 +1,99 @@
+"""Every BLAS/LAPACK call of the package runs in scipy's bundled library.
+
+numpy and scipy each bundle an OpenBLAS with its own thread pool; a trial
+that calls both wakes two pools that compete for the cores.  This scans the
+source for the numpy entry points into its BLAS and LAPACK.  Axis-wise
+``np.linalg.norm`` stays allowed: it reduces elementwise and calls no BLAS.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import tylerlaw
+
+SOURCES = sorted(Path(tylerlaw.__file__).parent.glob("*.py"))
+_NUMPY_BLAS = {"dot", "matmul", "inner", "tensordot"}
+_LINALG_ALLOWED = {"LinAlgError", "norm"}
+_BANNED_IMPORTS = {f"numpy.{name}" for name in _NUMPY_BLAS | {"linalg"}}
+
+
+def _np_attribute(node, *path):
+    # whether ``node`` is the attribute chain np.<path[0]>.<path[1]>...
+    for name in reversed(path):
+        if not isinstance(node, ast.Attribute) or node.attr != name:
+            return False
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "np"
+
+
+def numpy_linalg_calls(source: str) -> list[str]:
+    """Lines of ``source`` that would run numpy's BLAS or LAPACK."""
+    tree = ast.parse(source)
+    axis_wise_norms = {
+        id(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(k.arg == "axis" for k in node.keywords)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: the @ operator")
+        elif isinstance(node, ast.Attribute):
+            if any(_np_attribute(node, name) for name in _NUMPY_BLAS):
+                found.append(f"{node.lineno}: np.{node.attr}")
+            elif _np_attribute(node.value, "linalg") and (
+                node.attr not in _LINALG_ALLOWED
+                or (node.attr == "norm" and id(node) not in axis_wise_norms)
+            ):
+                found.append(f"{node.lineno}: np.linalg.{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            # an imported name escapes the np.<name> checks above
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if name in _BANNED_IMPORTS or (
+                    name.startswith("numpy.linalg.") and name != "numpy.linalg.LinAlgError"
+                ):
+                    found.append(f"{node.lineno}: from {node.module} import {alias.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_blas_or_lapack_call(path):
+    assert numpy_linalg_calls(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "G = Y @ Y.T",
+        "G @= Y",
+        "g = np.dot(a, b)",
+        "G = np.matmul(Y, Y.T)",
+        "g = np.inner(a, b)",
+        "G = np.tensordot(Y, Y, axes=(1, 1))",
+        "w = np.linalg.eigvalsh(A)",
+        "c = np.linalg.cholesky(A)",
+        "f = np.linalg.norm(A)",
+        "f = np.linalg.norm(A, 'fro')",
+        "from numpy.linalg import eigvalsh",
+        "from numpy import dot",
+    ],
+)
+def test_scan_flags_numpy_linalg(line):
+    assert len(numpy_linalg_calls(line)) == 1
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "norms = np.linalg.norm(z, axis=0)",
+        "error = np.linalg.LinAlgError",
+        "from numpy.linalg import LinAlgError",
+        "q = np.einsum('ij,ij->j', Z, Z)",
+        "w = dsyevd(A, compute_v=0, lower=1)",
+    ],
+)
+def test_scan_allows_axis_wise_norm_and_scipy(line):
+    assert numpy_linalg_calls(line) == []

@@ -51,6 +51,14 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("d", [4, 16, 64, 100])
+    def test_agrees_with_numpy_eigvalsh(self, d):
+        # scipy's dsyevd and numpy's eigvalsh may round differently at d >= 64
+        A = random_symmetric(np.random.default_rng(d), d)
+        w, want = symmetric_eigenvalues(A), np.linalg.eigvalsh(A)
+        assert np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(w - want)) <= 1e-14 * np.max(np.abs(want))
+
 
 class TestSpectralNorm:
     def test_examples(self):
