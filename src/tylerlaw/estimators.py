@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.blas import daxpy, ddot, dsyrk
-from scipy.linalg.lapack import dgelss
+from scipy.linalg import LinAlgError
+from scipy.linalg.blas import daxpy, ddot, dsyrk, dtrsm
+from scipy.linalg.lapack import dgelss, dpotrf
 
 from .spectral import symmetric_eigenvalues
 
@@ -87,8 +87,21 @@ def sample_covariance(X) -> np.ndarray:
     n = X.shape[1]
     if n < 1:
         raise ValueError("need at least one observation")
-    S = (X @ X.T) / n
-    return 0.5 * (S + S.T)
+    S = _gram(X)
+    S /= n
+    return S
+
+
+def _gram(Y: np.ndarray) -> np.ndarray:
+    # Y Y^t, exactly symmetric.  Every linear-algebra call of the package
+    # runs in scipy's LAPACK/BLAS: numpy bundles a second OpenBLAS, whose
+    # thread pool would fight scipy's.  dsyrk fills the upper triangle and
+    # leaves zeros below, so G + G.T doubles only the diagonal, and halving
+    # it back is exact
+    G = dsyrk(1.0, Y.T, trans=1)
+    G = G + G.T
+    G.flat[:: Y.shape[0] + 1] *= 0.5
+    return G
 
 
 def _tyler_rhs(X: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -96,16 +109,17 @@ def _tyler_rhs(X: np.ndarray, omega: np.ndarray) -> np.ndarray:
     d, n = X.shape
     # no finiteness scans: X has passed `_as_data_matrix`, and omega is an
     # iterate `tyler` found finite or a shape `tyler_residual` has checked
-    chol = cho_factor(omega, lower=True, check_finite=False)
-    q = np.einsum("ij,ij->j", X, cho_solve(chol, X, check_finite=False))
-    Y = X / np.sqrt(q)
-    # the Gram product runs in scipy's BLAS like the Cholesky calls: numpy's
-    # `@` would wake a second OpenBLAS thread pool that fights this one.
-    # dsyrk fills the upper triangle and leaves zeros below, so G + G.T
-    # doubles only the diagonal, and halving it back is exact
-    G = dsyrk(1.0, Y.T, trans=1)
-    G = G + G.T
-    G.flat[:: d + 1] *= 0.5
+    L, info = dpotrf(omega, lower=1)
+    if info != 0:
+        raise LinAlgError(f"omega is not positive definite (dpotrf info {info})")
+    # X_j^t omega^{-1} X_j = |L^{-1} X_j|^2, one triangular solve.  It is
+    # solved from the right on X^t, which is X's memory in Fortran order, so
+    # no transposed copy of X is made: row j of Z is (L^{-1} X_j)^t.  Z is
+    # dropped before Y is formed, so a call holds one (d, n) temporary
+    Z = dtrsm(1.0, L, X.T, side=1, lower=1, trans_a=1)
+    q = np.einsum("ij,ij->i", Z, Z)
+    del Z
+    G = _gram(X / np.sqrt(q))
     G *= d / n
     return G
 

@@ -8,6 +8,8 @@ on each entry.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dsyevd
 
 __all__ = ["symmetric_eigenvalues", "spectral_norm", "standardize"]
 
@@ -24,10 +26,15 @@ def _as_symmetric(A) -> np.ndarray:
 def symmetric_eigenvalues(A) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted ascending.
 
-    Uses the dense symmetric solver (LAPACK via ``numpy.linalg.eigvalsh``),
-    reading the lower triangle.  Raises ValueError on non-finite entries.
+    Uses LAPACK's divide-and-conquer solver ``dsyevd`` from scipy, the
+    library that runs every other linear-algebra call of the package,
+    reading the lower triangle.  Raises ValueError on non-finite entries and
+    LinAlgError when the solver fails to converge.
     """
-    return np.linalg.eigvalsh(_as_symmetric(A))
+    w, _, info = dsyevd(_as_symmetric(A), compute_v=0, lower=1)
+    if info != 0:
+        raise LinAlgError(f"dsyevd failed to converge (info {info})")
+    return w
 
 
 def spectral_norm(A) -> float:

@@ -327,9 +327,12 @@ class TestTylerKernel:
         return rng.standard_normal((d, n)), A @ A.T / d + np.eye(d)
 
     @pytest.mark.parametrize("d, n", [(4, 40), (16, 1600), (64, 6400)])
-    def test_byte_equal_to_reference(self, d, n):
+    def test_agrees_with_reference_to_roundoff(self, d, n):
+        # one triangular solve where the reference makes two, so the kernel
+        # rounds differently; it measured at most 5.3e-16 over seeds 0-4
         X, omega = self.pair(d, n)
-        np.testing.assert_array_equal(estimators._tyler_rhs(X, omega), reference_rhs(X, omega))
+        got, want = estimators._tyler_rhs(X, omega), reference_rhs(X, omega)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_near_square_agrees_with_reference(self):
         X, omega = self.pair(100, 120)
