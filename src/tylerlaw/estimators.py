@@ -87,17 +87,14 @@ def sample_covariance(X) -> np.ndarray:
     n = X.shape[1]
     if n < 1:
         raise ValueError("need at least one observation")
-    S = _gram(X)
-    S /= n
-    return S
+    return _gram(X) / n
 
 
 def _gram(Y: np.ndarray) -> np.ndarray:
-    # Y Y^t, exactly symmetric.  Every linear-algebra call of the package
-    # runs in scipy's LAPACK/BLAS: numpy bundles a second OpenBLAS, whose
-    # thread pool would fight scipy's.  dsyrk fills the upper triangle and
-    # leaves zeros below, so G + G.T doubles only the diagonal, and halving
-    # it back is exact
+    # Y Y^t, exactly symmetric, in scipy's BLAS like every linear-algebra
+    # call of the package: numpy's bundled OpenBLAS has a second thread pool,
+    # which would fight scipy's.  dsyrk fills the upper triangle and leaves
+    # zeros below, so G + G.T doubles only the diagonal; halving it is exact
     G = dsyrk(1.0, Y.T, trans=1)
     G = G + G.T
     G.flat[:: Y.shape[0] + 1] *= 0.5
@@ -112,16 +109,14 @@ def _tyler_rhs(X: np.ndarray, omega: np.ndarray) -> np.ndarray:
     L, info = dpotrf(omega, lower=1)
     if info != 0:
         raise LinAlgError(f"omega is not positive definite (dpotrf info {info})")
-    # X_j^t omega^{-1} X_j = |L^{-1} X_j|^2, one triangular solve.  It is
-    # solved from the right on X^t, which is X's memory in Fortran order, so
-    # no transposed copy of X is made: row j of Z is (L^{-1} X_j)^t.  Z is
-    # dropped before Y is formed, so a call holds one (d, n) temporary
+    # X_j^t omega^{-1} X_j = |L^{-1} X_j|^2 from one triangular solve, made
+    # from the right on X^t (X's memory in Fortran order, so X is not copied
+    # transposed): row j of Z is (L^{-1} X_j)^t.  Z is dropped before the
+    # scaled data, so a call holds one (d, n) temporary at a time
     Z = dtrsm(1.0, L, X.T, side=1, lower=1, trans_a=1)
     q = np.einsum("ij,ij->i", Z, Z)
     del Z
-    G = _gram(X / np.sqrt(q))
-    G *= d / n
-    return G
+    return _gram(X / np.sqrt(q)) * (d / n)
 
 
 def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
