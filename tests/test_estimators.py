@@ -194,6 +194,17 @@ class TestTyler:
         assert rep.converged
         assert tyler_residual(X, rep.estimate) <= TOL * np.linalg.norm(rep.estimate)
 
+    def test_anderson_evaluation_counts(self):
+        # the plain map needs 120-123 evaluations at (100, 120) and up to
+        # 8071 on (2, 4) samples; these counts hold only while the
+        # extrapolation is accepted, so an Anderson step that silently
+        # falls back to plain steps fails here
+        counts = [tyler(np.random.default_rng(s).standard_normal((100, 120))).iterations for s in range(4)]
+        assert counts == [22, 18, 19, 21]
+        for s in range(4):
+            assert tyler(np.random.default_rng(s).standard_normal((100, 105))).iterations <= 38
+        assert max(tyler(cauchy_scaled_sample(s, 2, 4)).iterations for s in range(400)) <= 46
+
     def test_requires_enough_observations(self):
         with pytest.raises(ValueError, match="dimension-exceeds-sample"):
             tyler(np.ones((3, 2)))
