@@ -309,6 +309,24 @@ class TestTylerResidual:
         rep = tyler(X)
         assert tyler_residual(X, rep.estimate) <= 10 * TOL * 4
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-200, -1e300])
+    def test_ignores_column_scales_like_the_fit(self, scale):
+        # each summand is invariant under X_j -> c X_j, so the residual of
+        # the fitted shape must not move when one column is scaled, however
+        # far; squaring such a column overflows or underflows without the
+        # power-of-two rescale tyler() applies
+        X = np.random.default_rng(0).standard_normal((4, 40))
+        shape = tyler(X).estimate
+        base = tyler_residual(X, shape)
+        X[:, 0] *= scale
+        assert tyler_residual(X, shape) == pytest.approx(base, rel=1e-6)
+
+    def test_rejects_zero_column(self):
+        X = np.random.default_rng(0).standard_normal((4, 40))
+        X[:, 3] = 0.0
+        with pytest.raises(ValueError, match="zero-column: column 3"):
+            tyler_residual(X, np.eye(4))
+
     def test_singular_shape_rejected(self):
         X = scaled_identity_data(2)
         with pytest.raises(ValueError, match="singular-shape"):
