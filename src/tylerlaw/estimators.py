@@ -76,6 +76,20 @@ def _as_data_matrix(X) -> np.ndarray:
     return X
 
 
+def _rescale_columns(X: np.ndarray) -> np.ndarray:
+    # the shape equation ignores column scales, and scaling a column by a
+    # power of two is exact, so columns whose squares could overflow or
+    # underflow are brought near 1; X is copied only then, and in-range data
+    # keeps its bits.  A zero column has no direction and is rejected
+    peak = np.max(np.abs(X), axis=0, initial=0.0)
+    if np.any(peak == 0):
+        raise ValueError(f"zero-column: column {int(np.argmin(peak))} of the data matrix is zero")
+    _, exponent = np.frexp(peak)
+    if np.any(np.abs(exponent) > _EXPONENT_LIMIT):
+        X = np.ldexp(X, -exponent)
+    return X
+
+
 def sample_covariance(X) -> np.ndarray:
     """Sample covariance S = (1/n) * sum_j X_j X_j^t of a (d, n) data matrix.
 
@@ -175,15 +189,7 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         raise ValueError(
             f"dimension-exceeds-sample: Tyler's estimator requires n >= d, got d={d}, n={n}"
         )
-    peak = np.max(np.abs(X), axis=0, initial=0.0)
-    if np.any(peak == 0):
-        raise ValueError(f"zero-column: column {int(np.argmin(peak))} of the data matrix is zero")
-    # the fit ignores column scales, and scaling a column by a power of two
-    # is exact, so columns whose squares could overflow or underflow are
-    # brought near 1; X is copied only then, and in-range data keeps its bits
-    _, exponent = np.frexp(peak)
-    if np.any(np.abs(exponent) > _EXPONENT_LIMIT):
-        X = np.ldexp(X, -exponent)
+    X = _rescale_columns(X)
 
     steps: list[float] = []
 
@@ -298,14 +304,18 @@ def tyler_residual(X, shape) -> float:
 
     Returns || (d/n) * sum_j X_j X_j^t / (X_j^t shape^{-1} X_j) - shape ||_F,
     which is zero exactly when ``shape`` solves the sample shape equation.
+    Like ``tyler``, it ignores column scales and rescales columns of extreme
+    scale by exact powers of two first.
 
     Raises
     ------
     ValueError
-        If ``shape`` is not a finite square matrix, or is numerically singular
-        or not positive definite (condition above 1e14, "singular-shape").
+        If X holds nan or inf ("non-finite-entry") or a zero column
+        ("zero-column"), or ``shape`` is not a finite square matrix, or is
+        numerically singular or not positive definite (condition above 1e14,
+        "singular-shape").
     """
-    X = _as_data_matrix(X)
+    X = _rescale_columns(_as_data_matrix(X))
     shape = np.asarray(shape, dtype=float)
     w = symmetric_eigenvalues(shape)
     if w[0] <= 0 or w[-1] / w[0] > _COND_LIMIT:
