@@ -102,6 +102,29 @@ class TestSpectrumCommand:
         assert lines[0] == "eigenvalue"
         assert [float(v) for v in lines[1:]] == [1.0, 2.0, 3.0]
 
+    def test_rejects_a_non_symmetric_matrix(self, tmp_path, capsys):
+        # the eigensolver reads one triangle: [[1, 2], [3, 4]] would come out
+        # as -0.854 and 5.854 where its eigenvalues are -0.372 and 5.372
+        mat = tmp_path / "A.csv"
+        np.savetxt(mat, [[1.0, 2.0], [3.0, 4.0]], delimiter=",")
+        assert run_cli("spectrum", "--in", mat, "--out", tmp_path / "e.csv") == 2
+        assert "config error: non-symmetric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["exact", "gram", "rotated"])
+    def test_accepts_symmetric_matrices(self, tmp_path, kind):
+        # a rotated diagonal Q D Q^t is symmetric only to roundoff
+        rng = np.random.default_rng(0)
+        B = rng.standard_normal((50, 80))
+        Q = np.linalg.qr(B[:, :50])[0]
+        A = {
+            "exact": np.diag(np.arange(50.0)),
+            "gram": B @ B.T,
+            "rotated": (Q * np.arange(1.0, 51.0)) @ Q.T,
+        }[kind]
+        mat = tmp_path / "A.csv"
+        np.savetxt(mat, A, delimiter=",")
+        assert run_cli("spectrum", "--in", mat, "--out", tmp_path / "e.csv") == 0
+
     def test_standardize_requires_n(self, tmp_path):
         mat = tmp_path / "A.csv"
         np.savetxt(mat, np.eye(2), delimiter=",")
