@@ -73,6 +73,16 @@ def _cmd_tyler(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     A = _load_matrix(args.infile)
+    # the eigensolver reads one triangle, so a file that is not symmetric to
+    # roundoff (relative to its largest entry, as in ks_distance) would get
+    # the eigenvalues of another matrix.  The library accepts the roundoff
+    # asymmetry of products such as Q T Q^t and rejects a non-square or
+    # non-finite matrix itself
+    if A.shape[0] == A.shape[1] and np.all(np.isfinite(A)):
+        gap = np.max(np.abs(A - A.T), initial=0.0)
+        limit = A.shape[0] * np.finfo(float).eps * np.max(np.abs(A), initial=0.0)
+        if gap > limit:
+            raise ValueError(f"non-symmetric: max |A - A^t| = {gap:.3g} exceeds {limit:.3g}")
     if args.standardize:
         if args.n is None:
             raise ValueError("--standardize requires --n (the sample size)")
