@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.blas import daxpy, ddot, dsyrk, dtrsm
+from scipy.linalg.blas import ddot, dgemm, dgemv, dsyrk, dtrsm
 from scipy.linalg.lapack import dgelss, dpotrf
 
 from .spectral import symmetric_eigenvalues
@@ -196,7 +196,11 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     def evaluate(omega):
         # one kernel evaluation: the trace-d map value d F / tr F and the
         # residual ||F(omega) - omega||_F, or (None, inf) when omega cannot
-        # be factored or F(omega) is not finite
+        # be factored or F(omega) is not finite.  A non-finite omega is not
+        # evaluated and counts no step
+        norm2 = _dot(omega, omega)
+        if not math.isfinite(norm2):
+            return None, math.inf
         try:
             rhs = _tyler_rhs(X, omega)
         except LinAlgError:
@@ -207,7 +211,7 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         if rhs is None or not math.isfinite(residual):
             steps.append(math.inf)
             return None, math.inf
-        steps.append(residual / math.sqrt(_dot(omega, omega)))
+        steps.append(residual / math.sqrt(norm2))
         rhs *= d / np.trace(rhs)
         return rhs, residual
 
@@ -224,26 +228,35 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     mapped, residual = evaluate(omega)
     defect = mapped - omega
     relative = steps[-1]
-    # Anderson history of the accepted iterates: differences of successive
-    # map values and of successive map defects (map value minus iterate),
-    # in slots that fill in turn, and the Gram matrix of the defect
-    # differences; ``added`` counts differences since the last restart
-    dmapped: list = [None] * _ANDERSON_DEPTH
-    ddefect: list = [None] * _ANDERSON_DEPTH
-    gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
+    # Anderson history of the accepted iterates: rows of differences of
+    # successive map values and of successive map defects (map value minus
+    # iterate), written in turn over the oldest; ``added`` counts differences
+    # since the last restart
+    dmapped = np.empty((_ANDERSON_DEPTH, d * d))
+    ddefect = np.empty((_ANDERSON_DEPTH, d * d))
     added = 0
     while relative > tol and len(steps) < max_iter:
         # each pass evaluates one candidate: the Anderson extrapolation while
         # there is a history, else the plain map step from the accepted iterate
         if added:
             m = min(added, _ANDERSON_DEPTH)
-            candidate = _extrapolate(mapped, defect, dmapped[:m], ddefect[:m], gram[:m, :m])
+            # type-II Anderson iterate  mapped - G g,  where g minimizes
+            # ||defect - F g|| over the history rows, taken as the columns of
+            # F and G (Fortran-ordered views, not copies).  Least squares does
+            # not depend on row order, so the slots need no reordering.  The
+            # singular-value cutoff keeps a nearly dependent history from
+            # producing huge weights; a failed SVD gives nan weights, which
+            # evaluate rejects
+            F, G = ddefect[:m].T, dmapped[:m].T
+            gram, rhs = dgemm(1.0, F, F, trans_a=1), dgemv(1.0, F, defect.ravel(), trans=1)
+            _, g, _, _, _, info = dgelss(gram, rhs, cond=1e-12)
+            if info != 0:
+                g = np.full(m, np.nan)
+            candidate = dgemv(-1.0, G, g, beta=1.0, y=mapped.ravel()).reshape(d, d)
             candidate *= d / np.trace(candidate)
         else:
             candidate = mapped
-        new_mapped = None
-        if math.isfinite(_dot(candidate, candidate)):
-            new_mapped, new_residual = evaluate(candidate)
+        new_mapped, new_residual = evaluate(candidate)
         if added and (new_mapped is None or steps[-1] > relative):
             # safeguard: an extrapolation that cannot be evaluated, or whose
             # residual grows, clears the history, so the next pass takes the
@@ -258,11 +271,9 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
             )
         new_defect = new_mapped - candidate
         slot = added % _ANDERSON_DEPTH
-        dmapped[slot] = new_mapped - mapped
-        ddefect[slot] = new_defect - defect
+        np.subtract(new_mapped.ravel(), mapped.ravel(), out=dmapped[slot])
+        np.subtract(new_defect.ravel(), defect.ravel(), out=ddefect[slot])
         added += 1
-        for j in range(min(added, _ANDERSON_DEPTH)):
-            gram[slot, j] = gram[j, slot] = _dot(ddefect[slot], ddefect[j])
         omega, mapped, defect = candidate, new_mapped, new_defect
         residual, relative = new_residual, steps[-1]
 
@@ -279,24 +290,6 @@ def _dot(A: np.ndarray, B: np.ndarray) -> float:
     # in; ravel copies only arrays that are not C-ordered, which the loop
     # never makes
     return ddot(A.ravel(), B.ravel())
-
-
-def _extrapolate(mapped, defect, dmapped, ddefect, gram) -> np.ndarray:
-    # type-II Anderson iterate  mapped - sum_i g_i dmapped[i],  where g
-    # minimizes ||defect - sum_i g_i ddefect[i]||_F.  g solves the m x m
-    # normal equations with the Gram matrix of ddefect instead of a
-    # (d*d, m) least-squares problem; the singular-value cutoff keeps a
-    # nearly dependent history from producing huge weights.  Should the
-    # SVD fail, the weights are nan and the caller's finiteness check
-    # rejects the iterate
-    rhs = np.array([_dot(u, defect) for u in ddefect])
-    _, weights, _, _, _, info = dgelss(gram, rhs, cond=1e-12)
-    if info != 0:
-        weights = np.full(len(ddefect), np.nan)
-    flat = mapped.ravel().copy()
-    for g, u in zip(weights, dmapped):
-        flat = daxpy(u.ravel(), flat, a=-g)
-    return flat.reshape(mapped.shape)
 
 
 def tyler_residual(X, shape) -> float:
