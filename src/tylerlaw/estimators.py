@@ -159,7 +159,7 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     X : array_like
         Data matrix of shape (d, n) with n >= d and no zero column.
     tol : float
-        Relative Frobenius residual tolerance (> 0).
+        Relative Frobenius residual tolerance (finite, > 0).
     max_iter : int
         Cap on map evaluations (>= 1).
 
@@ -172,7 +172,8 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     ------
     ValueError
         If n < d ("dimension-exceeds-sample"), some column is zero
-        ("zero-column") or an entry is nan or inf ("non-finite-entry").
+        ("zero-column"), an entry is nan or inf ("non-finite-entry"), or
+        ``tol`` or ``max_iter`` is out of range.
     NoConvergenceError
         If the cap is reached before the residual meets ``tol``, or a plain
         map step cannot be evaluated (the iterate lost positive
@@ -181,8 +182,8 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     """
     X = _as_data_matrix(X)
     d, n = X.shape
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:  # nan fails too, and would stop every fit at once
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if n < d:
@@ -304,9 +305,9 @@ def tyler_residual(X, shape) -> float:
     ------
     ValueError
         If X holds nan or inf ("non-finite-entry") or a zero column
-        ("zero-column"), or ``shape`` is not a finite square matrix, or is
-        numerically singular or not positive definite (condition above 1e14,
-        "singular-shape").
+        ("zero-column"), or ``shape`` is not a finite square matrix, is not
+        symmetric to roundoff ("non-symmetric"), or is numerically singular
+        or not positive definite (condition above 1e14, "singular-shape").
     """
     X = _rescale_columns(_as_data_matrix(X))
     shape = np.asarray(shape, dtype=float)

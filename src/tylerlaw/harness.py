@@ -110,8 +110,8 @@ class ExperimentConfig(Record):
             raise ValueError("estimators must not repeat")
         if self.max_moment < 1:
             raise ValueError(f"max_moment must be >= 1, got {self.max_moment}")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tyler settings require tol > 0 and max_iter >= 1")
+        if not 0 < self.tol < np.inf or self.max_iter < 1:
+            raise ValueError("tyler settings require a finite tol > 0 and max_iter >= 1")
         for d, n in self.schedule:
             if d < 1 or n < 1:
                 raise ValueError(f"schedule pair ({d}, {n}) must be positive")

@@ -62,7 +62,7 @@ class Semicircle(Record):
 
 @dataclass(frozen=True)
 class MarchenkoPastur(Record):
-    """Marchenko-Pastur law with ratio y > 0.
+    """Marchenko-Pastur law with a finite ratio y > 0.
 
     Continuous density sqrt((a_plus - x)(x - a_minus)) / (2 pi x y) on
     [a_minus, a_plus] with a_pm = (1 +/- sqrt(y))^2, plus a point mass of
@@ -73,8 +73,8 @@ class MarchenkoPastur(Record):
     y: float
 
     def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError(f"MP ratio y must be > 0, got {self.y}")
+        if not 0 < self.y < math.inf:
+            raise ValueError(f"MP ratio y must be finite and > 0, got {self.y}")
 
     @property
     def a_minus(self) -> float:

@@ -39,9 +39,8 @@ from .codec import Record
 
 __all__ = [
     "ChiRadius", "ScaledFRootRadius", "ConstantRadius", "SignedChiRadius", "RadialLaw",
-    "RADIAL_KINDS", "Coupling", "PopulationSpec", "PopulationTemplate",
-    "DegenerateDrawError", "sample_unit_sphere", "sample_radius", "sample_population",
-    "splitmix64", "derive_seed"
+    "RADIAL_KINDS", "Coupling", "PopulationSpec", "PopulationTemplate", "sample_unit_sphere",
+    "sample_radius", "sample_population", "splitmix64", "derive_seed"
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -50,14 +49,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Above this df, chi-square draws switch from summed squared normals to a
 # gamma sampler.
 CHI_EXACT_DF_MAX = 64
-
-# Norms below this are treated as a degenerate sphere draw and redrawn.
-_MIN_SPHERE_NORM = 1e-300
-_MAX_REDRAWS = 100
-
-
-class DegenerateDrawError(RuntimeError):
-    """Raised when the sphere sampler keeps producing near-zero vectors."""
 
 
 def splitmix64(x: int) -> int:
@@ -137,15 +128,15 @@ class ScaledFRootRadius:
 
 @dataclass(frozen=True)
 class ConstantRadius:
-    """R = value exactly; value must be nonzero (may be negative)."""
+    """R = value exactly; value must be finite and nonzero (may be negative)."""
 
     name: typing.ClassVar[str] = "constant"
     params: typing.ClassVar[tuple[str, ...]] = ("c",)
     value: float
 
     def __post_init__(self):
-        if self.value == 0:
-            raise ValueError("ConstantRadius value must be nonzero")
+        if self.value == 0 or not np.isfinite(self.value):
+            raise ValueError(f"ConstantRadius value must be finite and nonzero, got {self.value!r}")
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return np.full(m, float(self.value))
@@ -218,8 +209,8 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int) -> np.ndar
     """Draw ``size`` points uniformly from the unit sphere S^{d-1} in R^dim.
 
     Normalized independent standard normals; the construction is exactly
-    rotation invariant in distribution.  Draws whose raw norm falls below
-    1e-300 are redrawn (at most 100 times, then ``DegenerateDrawError``).
+    rotation invariant in distribution.  Draws are never redrawn: a column
+    of normals that are all exactly 0.0 has probability zero.
 
     Parameters
     ----------
@@ -240,20 +231,7 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int) -> np.ndar
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     z = rng.standard_normal((dim, size))
-    norms = np.linalg.norm(z, axis=0)
-    for _ in range(_MAX_REDRAWS):
-        bad = norms < _MIN_SPHERE_NORM
-        if not bad.any():
-            break
-        k = int(bad.sum())
-        z[:, bad] = rng.standard_normal((dim, k))
-        norms = np.linalg.norm(z, axis=0)
-    else:
-        raise DegenerateDrawError(
-            "degenerate-draw: sphere sampler produced near-zero vectors "
-            f"{_MAX_REDRAWS} times in a row"
-        )
-    return z / norms
+    return z / np.linalg.norm(z, axis=0)
 
 
 def sample_radius(
@@ -287,7 +265,7 @@ def sample_population(spec: PopulationSpec, n: int) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Data matrix of shape (spec.dim, n); every column is nonzero.
+        Data matrix of shape (spec.dim, n).
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")

@@ -20,6 +20,13 @@ def _as_symmetric(A) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite-entry: matrix contains nan or inf")
+    # the eigensolver reads one triangle, so a matrix that is not symmetric to
+    # roundoff (relative to its largest entry, as in ks_distance) would get
+    # the eigenvalues of another matrix; products such as Q T Q^t pass
+    gap = np.max(np.abs(A - A.T), initial=0.0)
+    limit = A.shape[0] * np.finfo(float).eps * np.max(np.abs(A), initial=0.0)
+    if gap > limit:
+        raise ValueError(f"non-symmetric: max |A - A^t| = {gap:.3g} exceeds {limit:.3g}")
     return A
 
 
@@ -28,8 +35,9 @@ def symmetric_eigenvalues(A) -> np.ndarray:
 
     Uses LAPACK's divide-and-conquer solver ``dsyevd`` from scipy, the
     library that runs every other linear-algebra call of the package,
-    reading the lower triangle.  Raises ValueError on non-finite entries and
-    LinAlgError when the solver fails to converge.
+    reading the lower triangle.  Raises ValueError on a non-square,
+    non-finite or non-symmetric matrix and LinAlgError when the solver fails
+    to converge.
     """
     w, _, info = dsyevd(_as_symmetric(A), compute_v=0, lower=1)
     if info != 0:

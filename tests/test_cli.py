@@ -57,6 +57,17 @@ class TestSample:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_constant_rejects_non_finite_value(self, tmp_path, capsys, value):
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "sample", "--dim", 2, "--n", 5, "--radial", "constant", "--radial-c", value,
+            "--seed", 1, "--out", out,
+        )
+        assert code == 2
+        assert "finite and nonzero" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTylerCommand:
     def test_fit_and_diagnostics(self, tmp_path, sample_csv, capsys):
@@ -76,6 +87,12 @@ class TestTylerCommand:
             "--out", tmp_path / "T.csv",
         )
         assert code == 3
+
+    def test_nan_tol_is_config_error(self, tmp_path, sample_csv, capsys):
+        out = tmp_path / "T.csv"
+        assert run_cli("tyler", "--in", sample_csv, "--tol", "nan", "--out", out) == 2
+        assert "tol must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert run_cli("tyler", "--in", tmp_path / "none.csv", "--out", tmp_path / "T.csv") == 4
@@ -175,9 +192,21 @@ class TestLawCommand:
     def test_mp_requires_y(self, tmp_path):
         assert run_cli("law", "--law", "mp", "--grid", "0:1:0.5", "--out", tmp_path / "x.csv") == 2
 
-    def test_bad_grid(self, tmp_path):
+    def test_bad_grid(self, tmp_path, capsys):
         assert run_cli("law", "--law", "semicircle", "--grid", "2:1:0.5", "--out", tmp_path / "x.csv") == 2
         assert run_cli("law", "--law", "semicircle", "--grid", "0:1", "--out", tmp_path / "x.csv") == 2
+        # 0:inf:1 exited 3 (float infinity to integer), nan:1:1 exited 2 with
+        # numpy's message, and 0:1:inf wrote a nan row
+        for grid in ("0:inf:1", "nan:1:1", "0:1:nan", "0:1:inf", "-inf:0:1"):
+            assert run_cli("law", "--law", "semicircle", f"--grid={grid}", "--out", tmp_path / "x.csv") == 2
+            assert "config error: grid must" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_infinite_mp_ratio_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("law", "--law", "mp", "--y", "inf", "--grid", "0:1:0.5", "--out", out) == 2
+        assert "MP ratio y must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_semicircle_rejects_y(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -252,6 +281,22 @@ class TestTrialAndSweep:
         out = tmp_path / "r"
         assert run_cli("sweep", "--config", cfg, "--out", out, "--jobs", jobs) == 2
         assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"tyler": {"tol": float("nan")}}, "finite tol > 0"),
+            ({"population": {"radial": "constant", "c": float("nan")}}, "finite and nonzero"),
+        ],
+        ids=["tol", "c"],
+    )
+    def test_non_finite_config_values_rejected(self, tmp_path, capsys, override, message):
+        # Python's json reads NaN and Infinity as floats
+        cfg = write_config(tmp_path, **override)
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_integer_radial_p_rejected_at_load(self, tmp_path, capsys):

@@ -227,6 +227,11 @@ class TestTyler:
             tyler(scaled_identity_data(2), tol=0.0)
         with pytest.raises(ValueError):
             tyler(scaled_identity_data(2), max_iter=0)
+        # a nan tol fails every comparison, so the loop would stop at once
+        # and report the identity as converged
+        for tol in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                tyler(scaled_identity_data(3), tol=tol)
 
     def test_no_convergence_on_subspace_data(self):
         # every observation on one line: the iterate collapses to rank one

@@ -105,6 +105,10 @@ class TestConfig:
             ({"max_moment": 0}, "max_moment"),
             ({"tyler": {"tol": 0.0}}, "tol > 0"),
             ({"tyler": {"max_iter": 0}}, "max_iter >= 1"),
+            ({"tyler": {"tol": float("nan")}}, "finite tol > 0"),
+            ({"tyler": {"tol": float("inf")}}, "finite tol > 0"),
+            ({"reference": {"law": "mp", "y": float("inf")}}, "finite and > 0"),
+            ({"population": {"radial": "constant", "c": float("nan")}}, "finite and nonzero"),
         ],
     )
     def test_load_time_type_checks(self, override, message):

@@ -157,6 +157,9 @@ class TestMarchenkoPastur:
             MarchenkoPastur(0.0)
         with pytest.raises(ValueError):
             MarchenkoPastur(-1.0)
+        # y = inf gave a cdf of 1 everywhere, with a RuntimeWarning
+        with pytest.raises(ValueError, match="finite and > 0"):
+            MarchenkoPastur(np.inf)
 
 
 def test_import_does_not_load_quadrature():

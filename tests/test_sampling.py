@@ -5,7 +5,6 @@ from tylerlaw import (
     ChiRadius,
     ConstantRadius,
     Coupling,
-    DegenerateDrawError,
     PopulationSpec,
     ScaledFRootRadius,
     SignedChiRadius,
@@ -46,14 +45,6 @@ class TestUnitSphere:
         assert abs(u1.mean()) <= 0.02
         assert abs((u1**2).mean() - 0.5) <= 0.02
 
-    def test_degenerate_draws_error(self):
-        class ZeroRng:
-            def standard_normal(self, shape):
-                return np.zeros(shape)
-
-        with pytest.raises(DegenerateDrawError, match="degenerate-draw"):
-            sample_unit_sphere(3, ZeroRng(), size=1)
-
     def test_invalid_arguments(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -72,6 +63,9 @@ class TestRadialLaws:
     def test_constant_rejects_zero(self):
         with pytest.raises(ValueError):
             ConstantRadius(0.0)
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite and nonzero"):
+                ConstantRadius(value)
 
     def test_chi_second_moment(self):
         # E chi2_4 = 4

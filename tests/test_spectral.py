@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tylerlaw import spectral_norm, standardize, symmetric_eigenvalues
+from tylerlaw import spectral_norm, standardize, symmetric_eigenvalues, tyler_residual
 
 
 def random_symmetric(rng, d, scale=1.0):
@@ -102,3 +102,24 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize(np.ones((2, 3)), 5)
 
+
+
+def _residual_with_data(A):
+    rng = np.random.default_rng(1)
+    return tyler_residual(rng.standard_normal((A.shape[0], 3 * A.shape[0])), A)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [symmetric_eigenvalues, spectral_norm, lambda A: standardize(A, 10), _residual_with_data],
+    ids=["symmetric_eigenvalues", "spectral_norm", "standardize", "tyler_residual"],
+)
+def test_symmetry_is_decided_at_every_entry_point(entry):
+    # each reads one triangle, so [[1, 1], [0, 1]] would pass for [[1, 0], [0, 1]]
+    with pytest.raises(ValueError, match="non-symmetric"):
+        entry(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # a rotated diagonal Q D Q^t is symmetric only to roundoff
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((50, 50)))[0]
+    A = (Q * np.arange(1.0, 51.0)) @ Q.T
+    assert not np.array_equal(A, A.T)
+    entry(A)
