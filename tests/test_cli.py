@@ -208,6 +208,19 @@ class TestLawCommand:
         assert "MP ratio y must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_mp_ratio_runs_clean_under_warnings_as_errors(self, tmp_path):
+        # the density overflowed at y = 1e300: a traceback and exit 1 under -W error
+        out = tmp_path / "f.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "tylerlaw", "law", "--law", "mp",
+             "--y", "1e300", "--grid", "0:2:0.5", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(r[1]) for r in rows[1:]] == [0.0, 0.0, 0.0, 0.0]
+
     def test_semicircle_rejects_y(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run_cli("law", "--law", "semicircle", "--y", 3, "--grid", "0:1:0.5", "--out", out) == 2

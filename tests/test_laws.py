@@ -99,6 +99,26 @@ class TestMarchenkoPastur:
         assert mp.pdf(-1.0) == 0.0
         assert mp.pdf(0.0) == 0.0  # y < 1: zero is outside the support
 
+    def test_pdf_finite_at_huge_ratio(self):
+        # (a_plus - x) * (x - a_minus) overflowed with a RuntimeWarning at
+        # y = 1e300, whose support collapses to the one float 1e300
+        mp = MarchenkoPastur(1e300)
+        x = np.array([0.5, 1.0, 2.0, 1e150, 1e300, np.nextafter(1e300, np.inf), 1e308])
+        dens = mp.pdf(x)
+        assert np.all(np.isfinite(dens))
+        assert np.all(dens == 0.0)
+        assert mp.pdf(1e300) == 0.0
+
+    @pytest.mark.parametrize("y", [1e-6, 0.01, 0.25, 5 / 6, 1.0, 2.0, 5.0, 1e6])
+    def test_pdf_matches_single_root_form(self, y):
+        # oracle: the density as sqrt((a_plus - x)(x - a_minus)) / (2 pi y x)
+        mp = MarchenkoPastur(y)
+        am, ap = mp.support()
+        x = np.linspace(am, ap, 20001)
+        x = x[(x > am) & (x < ap)]
+        oracle = np.sqrt((ap - x) * (x - am)) / (2.0 * np.pi * y * x)
+        np.testing.assert_allclose(mp.pdf(x), oracle, rtol=1e-15, atol=0)
+
     @pytest.mark.parametrize("y", [1.0, 2.0])
     def test_pdf_rejects_point_mass_location(self, y):
         with pytest.raises(ValueError, match="invalid-argument"):
