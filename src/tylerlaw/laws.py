@@ -105,10 +105,11 @@ class MarchenkoPastur(Record):
                 "(point mass location); query point_mass_at_zero instead"
             )
         am, ap = self.a_minus, self.a_plus
-        rad = np.maximum((ap - x) * (x - am), 0.0)
         inside = (x >= am) & (x <= ap) & (x != 0.0)
+        # two roots and two divides: (ap - x) * (x - am) and y * x overflow for y near 1e300
         with np.errstate(divide="ignore", invalid="ignore"):
-            dens = np.where(inside, np.sqrt(rad) / (2.0 * np.pi * self.y * np.where(inside, x, 1.0)), 0.0)
+            rad = np.sqrt(ap - x) * np.sqrt(x - am)
+            dens = np.where(inside, rad / (2.0 * np.pi * np.where(inside, x, 1.0)) / self.y, 0.0)
         return float(dens) if dens.ndim == 0 else dens
 
     def cdf(self, x):
