@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a full experiment config")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel trials (output is identical)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel trials, as threads on one BLAS thread each (output is identical)")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -19,6 +19,7 @@ from tylerlaw import (
     summarize_sweep,
     write_results,
 )
+from tylerlaw import harness
 from tylerlaw.harness import TrialResult
 
 
@@ -190,6 +191,17 @@ class TestRunTrial:
         assert t.results == {}
 
 
+@pytest.fixture
+def blas_threads():
+    """Set scipy's OpenBLAS to 2 threads, a count a parallel sweep must change
+    and restore; yield the getter and put the prior count back afterwards."""
+    get, set_ = harness._openblas_thread_calls()
+    prior = get()
+    set_(2)
+    yield get
+    set_(prior)
+
+
 class TestRunSweep:
     def test_basic_bookkeeping(self):
         cfg = ExperimentConfig(
@@ -228,6 +240,37 @@ class TestRunSweep:
         assert [t.to_json_line() for t in serial.trials] == [
             t.to_json_line() for t in parallel.trials
         ]
+
+    def test_blas_thread_calls_resolve(self):
+        # CI pins scipy 1.17.1, whose wheel exports both calls; without them
+        # the one-thread policy below would be a silent no-op
+        assert harness._openblas_thread_calls() is not None
+
+    def test_parallel_trials_run_on_one_blas_thread(self, blas_threads, monkeypatch):
+        seen = []
+
+        def spy(cfg, i, r):
+            seen.append(blas_threads())
+            return real(cfg, i, r)
+
+        real = harness.run_trial
+        monkeypatch.setattr(harness, "run_trial", spy)
+        run_sweep(small_config(), n_jobs=2)
+        assert seen == [1] * 6
+        assert blas_threads() == 2
+        seen.clear()
+        run_sweep(small_config(), n_jobs=1)  # the serial path leaves the count alone
+        assert seen == [2] * 6
+
+    def test_blas_threads_restored_when_a_trial_raises(self, blas_threads, monkeypatch):
+        def boom(cfg, i, r):
+            assert blas_threads() == 1
+            raise KeyError("boom")
+
+        monkeypatch.setattr(harness, "run_trial", boom)
+        with pytest.raises(KeyError, match="boom"):
+            run_sweep(small_config(), n_jobs=2)
+        assert blas_threads() == 2
 
     def test_variance_slope_reported(self):
         cfg = small_config(replicates=4)
@@ -295,4 +338,13 @@ class TestPersistence:
         cfg = small_config()
         a = write_results(run_sweep(cfg, n_jobs=1), tmp_path / "a")
         b = write_results(run_sweep(cfg, n_jobs=3), tmp_path / "b")
+        assert (a / "trials.json").read_bytes() == (b / "trials.json").read_bytes()
+
+    def test_byte_identical_across_parallelism_at_threaded_blas_shapes(self, tmp_path):
+        # larger than the golden configs (d <= 32, n <= 128): shapes where
+        # OpenBLAS may split a call across its threads at --jobs 1, while
+        # --jobs 2 runs every call on one thread
+        cfg = small_config(schedule=((64, 640), (100, 120)), replicates=2)
+        a = write_results(run_sweep(cfg, n_jobs=1), tmp_path / "a")
+        b = write_results(run_sweep(cfg, n_jobs=2), tmp_path / "b")
         assert (a / "trials.json").read_bytes() == (b / "trials.json").read_bytes()

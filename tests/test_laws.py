@@ -101,7 +101,7 @@ class TestMarchenkoPastur:
 
     def test_pdf_finite_at_huge_ratio(self):
         # (a_plus - x) * (x - a_minus) overflowed with a RuntimeWarning at
-        # y = 1e300, whose support collapses to the one float 1e300
+        # y = 1e300, whose support collapses to one float just below 1e300
         mp = MarchenkoPastur(1e300)
         x = np.array([0.5, 1.0, 2.0, 1e150, 1e300, np.nextafter(1e300, np.inf), 1e308])
         dens = mp.pdf(x)
