@@ -5,7 +5,9 @@ from tylerlaw import (
     ChiRadius,
     ConstantRadius,
     Coupling,
+    RADIAL_KINDS,
     PopulationSpec,
+    PopulationTemplate,
     ScaledFRootRadius,
     SignedChiRadius,
     derive_seed,
@@ -16,6 +18,7 @@ from tylerlaw import (
     splitmix64,
     symmetric_eigenvalues,
 )
+from tylerlaw.sampling import CHI_EXACT_DF_MAX
 
 
 class TestUnitSphere:
@@ -155,6 +158,26 @@ class TestSamplePopulation:
         assert w.min() >= 0.7 and w.max() <= 1.3
         spec10 = PopulationSpec(10, ChiRadius(10), seed=32)
         assert abs(sample_population(spec10, 10_000).mean()) <= 0.02
+
+    @pytest.mark.parametrize("d, n", [(5, 40), (CHI_EXACT_DF_MAX + 6, 20)])
+    @pytest.mark.parametrize("coupling", list(Coupling))
+    @pytest.mark.parametrize("kind", sorted(RADIAL_KINDS))
+    def test_draw_order_pinned(self, kind, coupling, d, n):
+        # sphere normals, then the radius draw, then the coupling multiplier:
+        # the order fixes every bit of every trial; the larger d takes the
+        # gamma branch of the chi-square
+        params = RADIAL_KINDS[kind].params
+        template = PopulationTemplate(
+            kind, coupling, p=3 if "p" in params else None, c=-1.5 if "c" in params else None
+        )
+        spec = template.instantiate(d, 20260810 + d)
+        rng = np.random.default_rng(spec.seed)
+        z = rng.standard_normal((d, n))
+        u = z / np.linalg.norm(z, axis=0)
+        r = spec.radial.draw(rng, n)
+        if coupling is Coupling.SIGN_U1:
+            r = r * (1.0 + 0.5 * np.sign(u[0]))
+        np.testing.assert_array_equal(sample_population(spec, n), u * r)
 
     def test_invalid_sample_size(self):
         with pytest.raises(ValueError):
