@@ -102,6 +102,18 @@ class TestEsdMoment:
             esd_moment(np.array([1.0]), 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [lambda lam: ks_distance(lam, SC), lambda lam: esd_moment(lam, 2), lambda lam: summarize(lam, SC)],
+    ids=["ks_distance", "esd_moment", "summarize"],
+)
+def test_non_finite_eigenvalues_rejected(call, bad):
+    # a nan used to give a nan KS (or "moment-overflow"), an inf a finite KS
+    with pytest.raises(ValueError, match="non-finite-entry"):
+        call(np.array([bad, 0.5]))
+
+
 class TestSummarize:
     def test_zero_matrix(self):
         s = summarize(np.zeros(2), SC, max_moment=2)
