@@ -118,6 +118,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("pair", [(4.5, 40), (4, 40.9), (True, 40)], ids=["d-4.5", "n-40.9", "d-True"])
+    def test_python_built_schedule_must_hold_integers(self, pair):
+        # (4.5, 40.9) used to run as (4, 40); from_dict already rejected it
+        with pytest.raises(ValueError, match="schedule"):
+            small_config(schedule=(pair,))
+
+    def test_numpy_integers_accepted_in_schedule(self):
+        cfg = small_config(schedule=((np.int64(4), np.int64(40)),))
+        assert cfg.schedule == ((4, 40),) and type(cfg.schedule[0][0]) is int
+
     def test_integers_widen_to_float(self):
         cfg = ExperimentConfig.from_dict(
             {"population": {"radial": "constant", "c": 2}, "schedule": [[2, 4]], "replicates": 1,
