@@ -1,4 +1,7 @@
-"""Distances and moments of empirical spectral distributions."""
+"""Distances and moments of empirical spectral distributions.
+
+Each function raises ValueError ("non-finite-entry") for a nan or inf eigenvalue.
+"""
 
 from __future__ import annotations
 
@@ -32,6 +35,8 @@ def _as_esd(eigenvalues) -> np.ndarray:
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("eigenvalues must be a nonempty 1-D array")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("non-finite-entry: eigenvalues contain nan or inf")
     return lam
 
 
