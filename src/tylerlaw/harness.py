@@ -101,7 +101,7 @@ class ExperimentConfig(Record):
     out: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "schedule", tuple((int(d), int(n)) for d, n in self.schedule))
+        object.__setattr__(self, "schedule", decode(tuple[tuple[int, int], ...], self.schedule, "config 'schedule'"))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.schedule:
             raise ValueError("schedule must contain at least one (d, n) pair")
