@@ -44,11 +44,7 @@ def main():
     describe("unit sphere (constant radius 1)", PopulationSpec(d, ConstantRadius(1.0), seed=3))
 
     describe("sign-symmetrized chi radius", PopulationSpec(d, SignedChiRadius(d), seed=4))
-    rng = np.random.default_rng(4)
-    from tylerlaw import sample_radius, sample_unit_sphere
-
-    u = sample_unit_sphere(d, rng, size=10_000)
-    r = sample_radius(SignedChiRadius(d), u, Coupling.INDEPENDENT, rng)
+    r = SignedChiRadius(d).draw(np.random.default_rng(4), 10_000)
     print(f"  drawn radii: {np.mean(r < 0):.1%} negative (fair sign; X = R U is unchanged in law)")
 
     print()

@@ -1,7 +1,4 @@
-"""Distances and moments of empirical spectral distributions.
-
-Each function raises ValueError ("non-finite-entry") for a nan or inf eigenvalue.
-"""
+"""Distances and moments of empirical spectral distributions."""
 
 from __future__ import annotations
 
@@ -66,7 +63,8 @@ def ks_distance(eigenvalues, law: ReferenceLaw) -> float:
 def esd_moment(eigenvalues, m: int) -> float:
     """m-th ESD moment (1/d) sum_i lambda_i^m, m >= 1.
 
-    Accumulated with exact float summation; raises OverflowError
+    Accumulated with exact float summation; raises ValueError
+    ("non-finite-entry") for a nan or inf eigenvalue and OverflowError
     ("moment-overflow") if the powers leave the finite range.
     """
     if m < 1:

@@ -15,10 +15,14 @@ to ``RadialLaw``.  ``Coupling`` says how the radius depends on U, and
 
 RNG contract
 ------------
-All draws go through an explicit ``numpy.random.Generator``.  Population
-sampling seeds a fresh PCG64 generator (``numpy.random.default_rng``) from
+All draws go through an explicit ``numpy.random.Generator``.
+``sample_population`` is the one function that draws a population: it seeds
+a fresh PCG64 generator (``numpy.random.default_rng``) from
 ``PopulationSpec.seed``, so identical specs produce bit-identical samples.
-Parallel trials must use independently derived seeds; ``derive_seed`` mixes
+A radial law's ``draw(rng, m)`` draws radii alone, and the unit sphere is
+the population with ``ConstantRadius(1.0)``, whose draw takes no random
+numbers.  Directions are never redrawn: a column of normals that are all
+exactly 0.0 has probability zero.  Parallel trials must use independently derived seeds; ``derive_seed`` mixes
 a base seed with trial indices through SplitMix64, a fixed, documented
 64-bit mixing function.
 
@@ -39,8 +43,8 @@ from .codec import Record
 
 __all__ = [
     "ChiRadius", "ScaledFRootRadius", "ConstantRadius", "SignedChiRadius", "RadialLaw",
-    "RADIAL_KINDS", "Coupling", "PopulationSpec", "PopulationTemplate", "sample_unit_sphere",
-    "sample_radius", "sample_population", "splitmix64", "derive_seed"
+    "RADIAL_KINDS", "Coupling", "PopulationSpec", "PopulationTemplate", "sample_population",
+    "splitmix64", "derive_seed"
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -205,73 +209,23 @@ class PopulationSpec:
             raise TypeError(f"unknown coupling: {self.coupling!r}")
 
 
-def sample_unit_sphere(dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` points uniformly from the unit sphere S^{d-1} in R^dim.
-
-    Normalized independent standard normals; the construction is exactly
-    rotation invariant in distribution.  Draws are never redrawn: a column
-    of normals that are all exactly 0.0 has probability zero.
-
-    Parameters
-    ----------
-    dim : int
-        Ambient dimension, >= 1.  dim = 1 yields +1 or -1.
-    rng : numpy.random.Generator
-        Source of randomness.
-    size : int
-        Number of points, >= 1.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape (dim, size); unit columns.
-    """
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    z = rng.standard_normal((dim, size))
-    return z / np.linalg.norm(z, axis=0)
-
-
-def sample_radius(
-    law: RadialLaw, u: np.ndarray, coupling: Coupling, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one radius per column of the (d, m) array ``u``; shape (m,).
-
-    The base radius is drawn from ``law``; the coupling multiplier, if any,
-    is applied last.  ``u`` must have unit column norms.
-    """
-    if not isinstance(law, RadialLaw):
-        raise TypeError(f"unknown radial law: {law!r}")
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        raise ValueError(f"u must be a (d, m) array of unit columns, got shape {u.shape}")
-    r = law.draw(rng, u.shape[1])
-    if coupling is Coupling.SIGN_U1:
-        r = r * (1.0 + 0.5 * np.sign(u[0]))  # u[0]: first coordinate of each column
-    elif coupling is not Coupling.INDEPENDENT:
-        raise TypeError(f"unknown coupling: {coupling!r}")
-    return r
-
-
 def sample_population(spec: PopulationSpec, n: int) -> np.ndarray:
-    """Draw an i.i.d. sample of size n; columns are the observations.
+    """Draw the (spec.dim, n) data matrix of an i.i.d. sample of size n.
 
-    Column j is R_j * U_j with independent draws across j.  The generator is
-    PCG64 seeded from ``spec.seed``, so the output is bit-identical across
-    calls with the same spec and n.
-
-    Returns
-    -------
-    numpy.ndarray
-        Data matrix of shape (spec.dim, n).
+    Column j is R_j * U_j.  The PCG64 generator seeded from ``spec.seed``
+    draws the (dim, n) normals whose columns over their norms are U, then the
+    n radii from ``spec.radial``; the coupling multiplier comes last, so the
+    same spec and n give the same bits.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     rng = np.random.default_rng(spec.seed)
-    u = sample_unit_sphere(spec.dim, rng, size=n)
-    r = sample_radius(spec.radial, u, spec.coupling, rng)
+    z = rng.standard_normal((spec.dim, n))
+    u = z / np.linalg.norm(z, axis=0)
+    del z  # freed before the radii are drawn, which keeps the peak memory down
+    r = spec.radial.draw(rng, n)
+    if spec.coupling is Coupling.SIGN_U1:
+        r = r * (1.0 + 0.5 * np.sign(u[0]))  # u[0]: first coordinate of each column
     return u * r
 
 

@@ -13,55 +13,46 @@ from tylerlaw import (
     derive_seed,
     sample_covariance,
     sample_population,
-    sample_radius,
-    sample_unit_sphere,
     splitmix64,
     symmetric_eigenvalues,
 )
 from tylerlaw.sampling import CHI_EXACT_DF_MAX
 
 
+def unit_sphere(d, seed, m):
+    """The directions U of every population drawn at this seed."""
+    return sample_population(PopulationSpec(d, ConstantRadius(1.0), seed=seed), m)
+
+
 class TestUnitSphere:
     def test_unit_norm(self):
-        rng = np.random.default_rng(0)
         for d in (1, 2, 3, 17, 200):
-            u = sample_unit_sphere(d, rng, size=1)
+            u = unit_sphere(d, 0, 1)
             assert u.shape == (d, 1)
             assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
 
     def test_batch_unit_norms(self):
-        rng = np.random.default_rng(1)
-        u = sample_unit_sphere(5, rng, size=1000)
+        u = unit_sphere(5, 1, 1000)
         assert u.shape == (5, 1000)
         np.testing.assert_allclose(np.linalg.norm(u, axis=0), 1.0, atol=1e-12)
 
     def test_dimension_one_is_a_fair_sign(self):
-        rng = np.random.default_rng(2)
-        u = sample_unit_sphere(1, rng, size=10_000)[0]
+        u = unit_sphere(1, 2, 10_000)[0]
         assert set(np.unique(u)) == {-1.0, 1.0}
         assert abs(np.mean(u > 0) - 0.5) < 0.02
 
     def test_first_coordinate_moments(self):
         # exact sphere moments: E u1 = 0, E u1^2 = 1/d
-        rng = np.random.default_rng(3)
-        u1 = sample_unit_sphere(2, rng, size=100_000)[0]
+        u1 = unit_sphere(2, 3, 100_000)[0]
         assert abs(u1.mean()) <= 0.02
         assert abs((u1**2).mean() - 0.5) <= 0.02
-
-    def test_invalid_arguments(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_unit_sphere(0, rng, size=1)
-        with pytest.raises(ValueError):
-            sample_unit_sphere(3, rng, size=0)
 
 
 class TestRadialLaws:
     def test_constant_is_exact(self):
-        rng = np.random.default_rng(4)
-        u = sample_unit_sphere(3, rng, size=1)
-        r = sample_radius(ConstantRadius(2.0), u, Coupling.INDEPENDENT, rng)
-        np.testing.assert_array_equal(r, [2.0])
+        X = sample_population(PopulationSpec(3, ConstantRadius(2.0), seed=4), 1)
+        np.testing.assert_array_equal(X, 2.0 * unit_sphere(3, 4, 1))
+        np.testing.assert_array_equal(ConstantRadius(2.0).draw(np.random.default_rng(4), 1), [2.0])
 
     def test_constant_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -72,50 +63,31 @@ class TestRadialLaws:
 
     def test_chi_second_moment(self):
         # E chi2_4 = 4
-        rng = np.random.default_rng(5)
-        u = sample_unit_sphere(4, rng, size=100_000)
-        r = sample_radius(ChiRadius(4), u, Coupling.INDEPENDENT, rng)
-        assert r.min() >= 0
+        r = np.linalg.norm(sample_population(PopulationSpec(4, ChiRadius(4), seed=5), 100_000), axis=0)
+        assert ChiRadius(4).draw(np.random.default_rng(5), 100_000).min() >= 0
         assert abs((r**2).mean() - 4.0) <= 0.08
 
     def test_chi_gamma_branch(self):
         # above the switch point the gamma sampler must keep E chi2_df = df
-        rng = np.random.default_rng(6)
-        u = sample_unit_sphere(3, rng, size=50_000)
-        r = sample_radius(ChiRadius(100), u, Coupling.INDEPENDENT, rng)
+        r = np.linalg.norm(sample_population(PopulationSpec(3, ChiRadius(100), seed=6), 50_000), axis=0)
         assert abs((r**2).mean() / 100.0 - 1.0) <= 0.02
 
     def test_signed_chi_sign_balance(self):
-        rng = np.random.default_rng(7)
-        u = sample_unit_sphere(3, rng, size=100_000)
-        r = sample_radius(SignedChiRadius(3), u, Coupling.INDEPENDENT, rng)
+        r = SignedChiRadius(3).draw(np.random.default_rng(7), 100_000)
         assert abs(np.mean(r < 0) - 0.5) <= 0.01
 
     def test_scaled_f_root_positive(self):
-        rng = np.random.default_rng(8)
-        u = sample_unit_sphere(5, rng, size=10_000)
-        r = sample_radius(ScaledFRootRadius(5, 1), u, Coupling.INDEPENDENT, rng)
+        X = sample_population(PopulationSpec(5, ScaledFRootRadius(5, 1), seed=8), 10_000)
+        r = np.linalg.norm(X, axis=0)
         assert np.all(r > 0)
         assert np.all(np.isfinite(r))
 
     def test_sign_coupling_multiplier(self):
         # radius r0 * (1 + sign(u1)/2): 3/2 on u1 > 0, 1/2 on u1 < 0
-        rng = np.random.default_rng(9)
-        u = sample_unit_sphere(2, rng, size=1000)
-        r = sample_radius(ConstantRadius(2.0), u, Coupling.SIGN_U1, rng)
-        np.testing.assert_array_equal(np.unique(r[u[0] > 0]), [3.0])
-        np.testing.assert_array_equal(np.unique(r[u[0] < 0]), [1.0])
-
-    def test_unknown_law_rejected(self):
-        rng = np.random.default_rng(11)
-        with pytest.raises(TypeError, match="unknown radial law"):
-            sample_radius("chi", sample_unit_sphere(3, rng, size=1), Coupling.INDEPENDENT, rng)
-
-    def test_one_dimensional_u_rejected(self):
-        # one unit vector must be passed as a (d, 1) array
-        rng = np.random.default_rng(12)
-        with pytest.raises(ValueError, match=r"\(d, m\)"):
-            sample_radius(ChiRadius(3), np.array([1.0, 0.0, 0.0]), Coupling.INDEPENDENT, rng)
+        X = sample_population(PopulationSpec(2, ConstantRadius(2.0), Coupling.SIGN_U1, seed=9), 1000)
+        u = unit_sphere(2, 9, 1000)
+        np.testing.assert_array_equal(X[:, u[0] > 0], 3.0 * u[:, u[0] > 0])
+        np.testing.assert_array_equal(X[:, u[0] < 0], 1.0 * u[:, u[0] < 0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
