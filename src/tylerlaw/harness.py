@@ -314,7 +314,7 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
     """Run every (pair, replicate) trial; parallelism never changes the output.
 
     Each trial derives its own seed, so any execution order yields the same
-    records; results are sorted by (pair, replicate) before aggregation.
+    records; both paths return them in (pair, replicate) order.
     With ``n_jobs > 1`` trials run in threads and the process-wide thread
     count of scipy's OpenBLAS is 1 until the sweep returns or raises, so that
     n_jobs trials do not fight n_jobs BLAS pools for the cores.
@@ -327,7 +327,6 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
             trials = list(pool.map(lambda t: run_trial(cfg, *t), tasks))
     else:
         trials = [run_trial(cfg, i, r) for i, r in tasks]
-    trials.sort(key=lambda t: (t.pair_index, t.replicate))
     return SweepResult(config=cfg, trials=trials, summary=summarize_sweep(cfg, trials))
 
 
