@@ -22,9 +22,9 @@ a fresh PCG64 generator (``numpy.random.default_rng``) from
 A radial law's ``draw(rng, m)`` draws radii alone, and the unit sphere is
 the population with ``ConstantRadius(1.0)``, whose draw takes no random
 numbers.  Directions are never redrawn: a column of normals that are all
-exactly 0.0 has probability zero.  Parallel trials must use independently derived seeds; ``derive_seed`` mixes
-a base seed with trial indices through SplitMix64, a fixed, documented
-64-bit mixing function.
+exactly 0.0 has probability zero.  Parallel trials must use independently
+derived seeds; ``derive_seed`` mixes a base seed with trial indices through
+SplitMix64, a fixed, documented 64-bit mixing function.
 
 Chi-square draws use sums of squared standard normals for df <= 64 (exact
 construction) and a gamma sampler above that switch point (speed).
