@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from tylerlaw import (
+    RADIAL_KINDS,
     ChiRadius,
     ConstantRadius,
     Coupling,
-    RADIAL_KINDS,
     PopulationSpec,
     PopulationTemplate,
     ScaledFRootRadius,
