@@ -110,6 +110,8 @@ class TestConfig:
             ({"tyler": {"tol": float("inf")}}, "finite tol > 0"),
             ({"reference": {"law": "mp", "y": float("inf")}}, "finite and > 0"),
             ({"population": {"radial": "constant", "c": float("nan")}}, "finite and nonzero"),
+            ({"schedule": [[4, 40, 5]]}, "schedule"),
+            ({"schedule": [[4]]}, "schedule"),
         ],
     )
     def test_load_time_type_checks(self, override, message):
@@ -123,6 +125,12 @@ class TestConfig:
         # (4.5, 40.9) used to run as (4, 40); from_dict already rejected it
         with pytest.raises(ValueError, match="schedule"):
             small_config(schedule=(pair,))
+
+    def test_python_built_schedule_takes_a_preset(self):
+        preset = {"preset": "mp", "dims": [100]}
+        cfg = small_config(schedule=preset)
+        assert cfg == ExperimentConfig.from_dict({**small_config().to_dict(), "schedule": preset})
+        assert cfg.schedule == ((100, 400),)
 
     def test_numpy_integers_accepted_in_schedule(self):
         cfg = small_config(schedule=((np.int64(4), np.int64(40)),))
@@ -199,6 +207,14 @@ class TestRunTrial:
         assert t.failed
         assert "no-convergence" in t.error
         assert t.results == {}
+
+    @pytest.mark.parametrize("pair_index, replicate", [(-1, 0), (2, 0), (0, 3)], ids=["pair-1", "pair-len", "rep-len"])
+    def test_trial_address_checked(self, pair_index, replicate):
+        # (-1, 0) ran the last pair recorded as pair -1; (0, 3) ran a replicate
+        # the three-replicate config does not have
+        cfg = small_config()
+        with pytest.raises(ValueError, match=r"pair_index must be in 0\.\.1 and replicate in 0\.\.2"):
+            run_trial(cfg, pair_index, replicate)
 
 
 @pytest.fixture
@@ -293,6 +309,11 @@ class TestRunSweep:
 
 
 class TestPersistence:
+    def test_results_must_be_an_object(self):
+        line = json.loads(run_trial(small_config(), 0, 0).to_json_line())
+        with pytest.raises(ValueError, match="'results'"):
+            TrialResult.from_dict({**line, "results": [1]})
+
     def test_empty_results(self, tmp_path):
         cfg = small_config()
         empty = SweepResult(config=cfg, trials=[], summary=summarize_sweep(cfg, []))

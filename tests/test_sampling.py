@@ -97,6 +97,13 @@ class TestRadialLaws:
         with pytest.raises(ValueError):
             SignedChiRadius(-1)
 
+    def test_signed_chi_is_its_own_kind(self):
+        # signed chi is chi times a fair sign, yet a distinct radial law
+        assert ChiRadius(4) != SignedChiRadius(4)
+        assert RADIAL_KINDS["signed-chi"] is SignedChiRadius
+        with pytest.raises(ValueError, match="SignedChiRadius 'df'"):
+            SignedChiRadius(0)
+
 
 class TestSamplePopulation:
     def test_constant_radius_columns_on_sphere(self):
