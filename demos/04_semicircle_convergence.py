@@ -14,7 +14,6 @@ from tylerlaw import (
     Semicircle,
     run_sweep,
     semicircle_moment,
-    semicircle_schedule,
     write_results,
 )
 
@@ -22,7 +21,7 @@ from tylerlaw import (
 def main():
     cfg = ExperimentConfig(
         population=PopulationTemplate(radial="scaled-f-root", p=1),
-        schedule=semicircle_schedule([16, 32, 64]),
+        schedule={"preset": "semicircle", "dims": [16, 32, 64]},
         replicates=10,
         estimators=("tyler",),
         standardized=True,

@@ -11,9 +11,7 @@ from tylerlaw import (
     MarchenkoPastur,
     PopulationTemplate,
     Semicircle,
-    mp_schedule,
     run_sweep,
-    semicircle_schedule,
 )
 
 
@@ -21,7 +19,7 @@ def main():
     print("Tyler spectrum at fixed ratio y = 0.25 vs Marchenko-Pastur(0.25)")
     cfg = ExperimentConfig(
         population=PopulationTemplate(radial="chi"),
-        schedule=mp_schedule([50, 100]),
+        schedule={"preset": "mp", "dims": [50, 100]},
         replicates=5,
         estimators=("tyler",),
         standardized=False,
@@ -36,7 +34,7 @@ def main():
     print("variance of ||T* - S*||_2 along the d/n = 0.01 schedule (Gaussian data)")
     cfg = ExperimentConfig(
         population=PopulationTemplate(radial="chi"),
-        schedule=semicircle_schedule([16, 32, 64]),
+        schedule={"preset": "semicircle", "dims": [16, 32, 64]},
         replicates=20,
         estimators=("covariance", "tyler"),
         standardized=True,

@@ -113,10 +113,6 @@ def _load_config(args) -> tuple[ExperimentConfig, str]:
 
 def _cmd_trial(args) -> int:
     cfg, out = _load_config(args)
-    if not 0 <= args.pair < len(cfg.schedule):
-        raise ValueError(f"--pair must index the schedule (0..{len(cfg.schedule) - 1})")
-    if not 0 <= args.replicate < cfg.replicates:
-        raise ValueError(f"--replicate must be in 0..{cfg.replicates - 1}")
     trial = run_trial(cfg, args.pair, args.replicate)
     write_results(SweepResult(config=cfg, trials=[trial], summary=summarize_sweep(cfg, [trial])), out)
     if trial.failed:

@@ -5,8 +5,8 @@ A ``Record`` dataclass gets ``to_dict`` / ``from_dict`` from its fields:
 - only fields that take part in equality are encoded; ``compare=False``
   fields are in-memory diagnostics;
 - values are decoded by their type annotation: nested records, enums,
-  homogeneous tuples, ``dict[str, Record]``, and strictly typed scalars
-  (an ``int`` field rejects 1.5, a ``float`` field takes 2 as 2.0);
+  ``tuple[X, ...]``, ``tuple[X, Y]`` (exactly that many entries), ``dict[str, Record]``
+  and strictly typed scalars (an ``int`` field rejects 1.5, a ``float`` field takes 2 as 2.0);
 - unknown keys and missing required keys raise ValueError.
 
 Class attributes shape the layout: ``_where`` names the object in error
@@ -64,8 +64,13 @@ def decode(hint, value, where: str):
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{where} must be a list, got {value!r}")
-        return tuple(decode(args[0], v, where) for v in value)
+        items = args[:1] * len(value) if args[1:] == (...,) else args
+        if len(items) != len(value):
+            raise ValueError(f"{where} entry {value!r} must have {len(items)} entries")
+        return tuple(decode(h, v, where) for h, v in zip(items, value))
     if origin is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be a JSON object, got {value!r}")
         return {k: decode(args[1], v, where) for k, v in value.items()}
     if isinstance(hint, type) and issubclass(hint, Record):
         return hint.from_dict(value)

@@ -35,8 +35,8 @@ from .spectral import spectral_norm, standardize, symmetric_eigenvalues
 
 __all__ = [
     "ESTIMATORS", "ExperimentConfig", "EstimatorResult", "TrialResult", "PairSummary",
-    "SweepSummary", "SweepResult", "semicircle_schedule", "mp_schedule", "run_trial", "run_sweep",
-    "summarize_sweep", "write_results", "read_trials"
+    "SweepSummary", "SweepResult", "run_trial", "run_sweep", "summarize_sweep", "write_results",
+    "read_trials"
 ]
 
 
@@ -55,27 +55,18 @@ def _fit_tyler(cfg: ExperimentConfig, X: np.ndarray) -> tuple[np.ndarray, dict]:
 ESTIMATORS = {"covariance": _fit_covariance, "tyler": _fit_tyler}
 
 
-def semicircle_schedule(dims) -> tuple[tuple[int, int], ...]:
-    """Pairs (d, 100 d): the d/n -> 0 regime used for the semicircle runs."""
-    return tuple((int(d), 100 * int(d)) for d in dims)
-
-
-def mp_schedule(dims) -> tuple[tuple[int, int], ...]:
-    """Pairs (d, 4 d): the fixed-ratio regime y = 0.25 for the MP probe."""
-    return tuple((int(d), 4 * int(d)) for d in dims)
-
-
-_PRESETS = {"semicircle": semicircle_schedule, "mp": mp_schedule}
+# Schedule preset -> n/d of its pairs (d, n): d/n -> 0 for the semicircle, y = 1/4 for MP
+_PRESET_RATIOS = {"semicircle": 100, "mp": 4}
 
 
 def _schedule_from_config(spec) -> tuple[tuple[int, int], ...]:
-    if not isinstance(spec, dict):
-        return decode(tuple[tuple[int, int], ...], spec, "config 'schedule'")
-    check_keys(spec, {"preset", "dims"}, "schedule")
-    preset = spec.get("preset")
-    if preset not in _PRESETS:
-        raise ValueError(f"schedule preset must be one of {tuple(_PRESETS)}, got {preset!r}")
-    return _PRESETS[preset](decode(tuple[int, ...], spec.get("dims"), "schedule 'dims'"))
+    if isinstance(spec, dict):
+        check_keys(spec, {"preset", "dims"}, "schedule")
+        ratio = _PRESET_RATIOS.get(spec.get("preset"))
+        if ratio is None:
+            raise ValueError(f"schedule preset must be one of {tuple(_PRESET_RATIOS)}, got {spec.get('preset')!r}")
+        spec = [(d, ratio * d) for d in decode(tuple[int, ...], spec.get("dims"), "schedule 'dims'")]
+    return decode(tuple[tuple[int, int], ...], spec, "config 'schedule'")
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,7 @@ class ExperimentConfig(Record):
     out: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "schedule", decode(tuple[tuple[int, int], ...], self.schedule, "config 'schedule'"))
+        object.__setattr__(self, "schedule", _schedule_from_config(self.schedule))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.schedule:
             raise ValueError("schedule must contain at least one (d, n) pair")
@@ -186,7 +177,9 @@ class TrialResult(Record):
 
 
 def run_trial(cfg: ExperimentConfig, pair_index: int, replicate: int) -> TrialResult:
-    """Run one seeded trial; estimator or sampling errors yield a failed record."""
+    """Run one seeded trial; its errors yield a failed record, an address outside cfg a ValueError."""
+    if not (0 <= pair_index < len(cfg.schedule) and 0 <= replicate < cfg.replicates):
+        raise ValueError(f"pair_index must be in 0..{len(cfg.schedule) - 1} and replicate in 0..{cfg.replicates - 1}")
     d, n = cfg.schedule[pair_index]
     seed = derive_seed(cfg.base_seed, pair_index, replicate)
     start = time.perf_counter()

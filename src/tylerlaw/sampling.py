@@ -147,18 +147,13 @@ class ConstantRadius:
 
 
 @dataclass(frozen=True)
-class SignedChiRadius:
-    """R = +/- sqrt(chi2_df) with an independent fair sign."""
+class SignedChiRadius(ChiRadius):
+    """R = +/- sqrt(chi2_df): the chi radius times an independent fair sign."""
 
     name: typing.ClassVar[str] = "signed-chi"
-    params: typing.ClassVar[tuple[str, ...]] = ("df",)
-    df: int
-
-    def __post_init__(self):
-        _check_positive_int(self, "df")
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return np.sqrt(_chi_square(rng, self.df, m)) * (rng.integers(0, 2, size=m) * 2 - 1)
+        return super().draw(rng, m) * (rng.integers(0, 2, size=m) * 2 - 1)
 
 
 RadialLaw = ChiRadius | ScaledFRootRadius | ConstantRadius | SignedChiRadius

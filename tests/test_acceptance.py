@@ -19,10 +19,8 @@ from tylerlaw import (
     Semicircle,
     esd_moment,
     ks_distance,
-    mp_schedule,
     run_sweep,
     semicircle_moment,
-    semicircle_schedule,
     spectral_norm,
     symmetric_eigenvalues,
     tyler,
@@ -55,7 +53,7 @@ def cauchy_sweep():
     # multivariate Cauchy population: no finite mean, Tyler still converges
     cfg = ExperimentConfig(
         population=PopulationTemplate(radial="scaled-f-root", p=1),
-        schedule=semicircle_schedule(DIMS),
+        schedule={"preset": "semicircle", "dims": DIMS},
         replicates=REPLICATES,
         estimators=("tyler",),
         standardized=True,
@@ -70,7 +68,7 @@ def cauchy_sweep():
 def gaussian_sweep():
     cfg = ExperimentConfig(
         population=PopulationTemplate(radial="chi"),
-        schedule=semicircle_schedule(DIMS),
+        schedule={"preset": "semicircle", "dims": DIMS},
         replicates=REPLICATES,
         estimators=("covariance", "tyler"),
         standardized=True,
@@ -242,7 +240,7 @@ def test_criterion_8_exploratory_reports(gaussian_sweep):
     # fixed-ratio probe: non-standardized Tyler spectrum against MP(0.25)
     cfg = ExperimentConfig(
         population=PopulationTemplate(radial="chi"),
-        schedule=mp_schedule([100]),
+        schedule={"preset": "mp", "dims": [100]},
         replicates=5,
         estimators=("tyler",),
         standardized=False,

@@ -11,11 +11,9 @@ from tylerlaw import (
     Semicircle,
     SweepResult,
     derive_seed,
-    mp_schedule,
     read_trials,
     run_sweep,
     run_trial,
-    semicircle_schedule,
     summarize_sweep,
     write_results,
 )
@@ -40,8 +38,8 @@ def small_config(**overrides):
 
 class TestConfig:
     def test_schedules(self):
-        assert semicircle_schedule([16, 32]) == ((16, 1600), (32, 3200))
-        assert mp_schedule([100]) == ((100, 400),)
+        assert small_config(schedule={"preset": "semicircle", "dims": [16, 32]}).schedule == ((16, 1600), (32, 3200))
+        assert small_config(schedule={"preset": "mp", "dims": [100]}).schedule == ((100, 400),)
 
     def test_round_trip_dict(self):
         cfg = small_config(reference=MarchenkoPastur(0.25), save_spectra=True)
