@@ -110,6 +110,7 @@ class TestConfig:
             ({"population": {"radial": "constant", "c": float("nan")}}, "finite and nonzero"),
             ({"schedule": [[4, 40, 5]]}, "schedule"),
             ({"schedule": [[4]]}, "schedule"),
+            ({"schedule": {"preset": ["mp"], "dims": [8]}}, "preset"),
         ],
     )
     def test_load_time_type_checks(self, override, message):
