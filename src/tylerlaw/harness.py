@@ -62,10 +62,10 @@ _PRESET_RATIOS = {"semicircle": 100, "mp": 4}
 def _schedule_from_config(spec) -> tuple[tuple[int, int], ...]:
     if isinstance(spec, dict):
         check_keys(spec, {"preset", "dims"}, "schedule")
-        ratio = _PRESET_RATIOS.get(spec.get("preset"))
-        if ratio is None:
-            raise ValueError(f"schedule preset must be one of {tuple(_PRESET_RATIOS)}, got {spec.get('preset')!r}")
-        spec = [(d, ratio * d) for d in decode(tuple[int, ...], spec.get("dims"), "schedule 'dims'")]
+        preset = decode(str | None, spec.get("preset"), "schedule 'preset'")
+        if preset not in _PRESET_RATIOS:
+            raise ValueError(f"schedule preset must be one of {tuple(_PRESET_RATIOS)}, got {preset!r}")
+        spec = [(d, _PRESET_RATIOS[preset] * d) for d in decode(tuple[int, ...], spec.get("dims"), "schedule 'dims'")]
     return decode(tuple[tuple[int, int], ...], spec, "config 'schedule'")
 
 
