@@ -67,10 +67,8 @@ def _cmd_tyler(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     A = _load_matrix(args.infile)
-    if args.standardize:
-        if args.n is None:
-            raise ValueError("--standardize requires --n (the sample size)")
-        A = standardize(A, args.n)
+    if args.standardize is not None:
+        A = standardize(A, args.standardize)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("eigenvalue\n" + "".join(f"{v:.17g}\n" for v in symmetric_eigenvalues(A)))
     return 0
@@ -103,18 +101,10 @@ def _cmd_law(args) -> int:
     return 0
 
 
-def _load_config(args) -> tuple[ExperimentConfig, str]:
-    cfg = ExperimentConfig.from_json_file(args.config)
-    out = args.out or cfg.out
-    if out is None:
-        raise ValueError("no output directory: pass --out or set 'out' in the config")
-    return cfg, out
-
-
 def _cmd_trial(args) -> int:
-    cfg, out = _load_config(args)
+    cfg = ExperimentConfig.from_json_file(args.config)
     trial = run_trial(cfg, args.pair, args.replicate)
-    write_results(SweepResult(config=cfg, trials=[trial], summary=summarize_sweep(cfg, [trial])), out)
+    write_results(SweepResult(config=cfg, trials=[trial], summary=summarize_sweep(cfg, [trial])), args.out)
     if trial.failed:
         print(f"trial failed: {trial.error}", file=sys.stderr)
         return 3
@@ -122,9 +112,9 @@ def _cmd_trial(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, out = _load_config(args)
+    cfg = ExperimentConfig.from_json_file(args.config)
     result = run_sweep(cfg, n_jobs=args.jobs)
-    write_results(result, out)
+    write_results(result, args.out)
     if all(t.failed for t in result.trials):
         print("all trials failed", file=sys.stderr)
         return 3
@@ -160,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues of a symmetric CSV matrix")
     p.add_argument("--in", dest="infile", required=True, help="d x d symmetric matrix CSV")
-    p.add_argument("--standardize", action="store_true", help="map A to sqrt(n/d)(A - I) first")
-    p.add_argument("--n", type=int, default=None, help="sample size for --standardize")
+    p.add_argument("--standardize", type=int, default=None, metavar="N", help="map A to sqrt(N/d)(A - I) first, N the sample size")
     p.add_argument("--out", required=True, help="output CSV (header + ascending eigenvalues)")
     p.set_defaults(func=_cmd_spectrum)
 
@@ -176,12 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--pair", type=int, default=0, help="schedule pair index")
     p.add_argument("--replicate", type=int, default=0, help="replicate index")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_trial)
 
     p = sub.add_parser("sweep", help="run a full experiment config")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--jobs", type=int, default=1, help="parallel trials, as threads on one BLAS thread each (output is identical)")
     p.set_defaults(func=_cmd_sweep)
 

@@ -74,7 +74,6 @@ class ExperimentConfig(Record):
     """Full description of one sweep; README.md gives its JSON form."""
 
     _where = "config"
-    _omit_none = True
 
     population: PopulationTemplate
     schedule: tuple[tuple[int, int], ...] = field(metadata={"decode": _schedule_from_config})
@@ -89,7 +88,6 @@ class ExperimentConfig(Record):
     tol: float = field(default=1e-9, metadata={"group": "tyler"})
     max_iter: int = field(default=1000, metadata={"group": "tyler"})
     save_spectra: bool = False
-    out: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "schedule", _schedule_from_config(self.schedule))

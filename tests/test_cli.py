@@ -145,7 +145,13 @@ class TestSpectrumCommand:
     def test_standardize_requires_n(self, tmp_path):
         mat = tmp_path / "A.csv"
         np.savetxt(mat, np.eye(2), delimiter=",")
-        assert run_cli("spectrum", "--in", mat, "--standardize", "--out", tmp_path / "e.csv") == 2
+        out = tmp_path / "e.csv"
+        for argv in (["--standardize"], ["--n", 8]):  # the sample size is --standardize's own value
+            with pytest.raises(SystemExit) as exc:  # argparse's usage error
+                run_cli("spectrum", "--in", mat, *argv, "--out", out)
+            assert exc.value.code == 2
+        assert run_cli("spectrum", "--in", mat, "--standardize", 0, "--out", out) == 2
+        assert not out.exists()
 
     def test_eigensolver_failure_is_numerical(self, tmp_path, monkeypatch, capsys):
         # numpy's LinAlgError subclasses ValueError, the config-error class
@@ -162,7 +168,7 @@ class TestSpectrumCommand:
         mat = tmp_path / "A.csv"
         np.savetxt(mat, np.eye(2), delimiter=",")
         out = tmp_path / "e.csv"
-        assert run_cli("spectrum", "--in", mat, "--standardize", "--n", 8, "--out", out) == 0
+        assert run_cli("spectrum", "--in", mat, "--standardize", 8, "--out", out) == 0
         vals = [float(v) for v in out.read_text().splitlines()[1:]]
         assert vals == [0.0, 0.0]
 
@@ -263,11 +269,12 @@ class TestTrialAndSweep:
         summary = json.loads((a / "summary.json").read_text())
         assert summary["summary"]["total_trials"] == 4
 
-    def test_out_from_config(self, tmp_path):
-        out = tmp_path / "fromcfg"
-        cfg = write_config(tmp_path, out=str(out))
-        assert run_cli("sweep", "--config", cfg) == 0
-        assert (out / "trials.json").exists()
+    def test_out_in_config_rejected(self, tmp_path, capsys):
+        # --out is the one source of the output directory
+        cfg = write_config(tmp_path, out=str(tmp_path / "fromcfg"))
+        assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "r") == 2
+        assert "unknown config keys: ['out']" in capsys.readouterr().err
+        assert not (tmp_path / "fromcfg").exists() and not (tmp_path / "r").exists()
 
     def test_all_trials_failed_exit_code(self, tmp_path, capsys):
         cfg = write_config(
@@ -283,7 +290,10 @@ class TestTrialAndSweep:
         bad = write_config(tmp_path, schedule=[[8, 4]])
         assert run_cli("sweep", "--config", bad, "--out", tmp_path / "x") == 2
         cfg = write_config(tmp_path)
-        assert run_cli("sweep", "--config", cfg) == 2  # no output directory
+        for command in ("trial", "sweep"):
+            with pytest.raises(SystemExit) as exc:  # no --out: argparse's usage error
+                run_cli(command, "--config", cfg)
+            assert exc.value.code == 2
         assert run_cli("trial", "--config", cfg, "--pair", 2, "--out", tmp_path / "x") == 2
         assert run_cli("trial", "--config", cfg, "--replicate", 2, "--out", tmp_path / "x") == 2
         assert not (tmp_path / "x").exists()
