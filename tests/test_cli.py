@@ -322,6 +322,15 @@ class TestTrialAndSweep:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("reference", [{"law": ["mp"]}, "semicircle"], ids=["list-name", "string"])
+    def test_reference_law_name_must_be_a_string(self, tmp_path, capsys, reference):
+        cfg = write_config(tmp_path, reference=reference)
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "reference" in err and "'law'" in err
+        assert not out.exists()
+
     def test_non_integer_radial_p_rejected_at_load(self, tmp_path, capsys):
         cfg = write_config(tmp_path, population={"radial": "scaled-f-root", "p": 1.5})
         out = tmp_path / "r"
