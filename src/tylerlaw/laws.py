@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Record
+from .codec import Record, decode
 
 __all__ = [
     "Semicircle", "MarchenkoPastur", "ReferenceLaw", "REFERENCE_LAWS", "semicircle_moment",
@@ -151,8 +151,10 @@ def law_to_dict(law: ReferenceLaw) -> dict:
 
 def law_from_dict(d: dict) -> ReferenceLaw:
     """Inverse of ``law_to_dict``; a law takes exactly its own parameters."""
-    params = dict(d) if isinstance(d, dict) else {}
-    name = params.pop("law", None)
+    if not isinstance(d, dict):
+        raise ValueError(f"reference must be a JSON object with a 'law' key, got {d!r}")
+    params = dict(d)
+    name = decode(str | None, params.pop("law", None), "reference 'law'")
     if name not in REFERENCE_LAWS:
-        raise ValueError(f"reference law must be one of {tuple(REFERENCE_LAWS)}, got {name!r}")
+        raise ValueError(f"reference 'law' must be one of {tuple(REFERENCE_LAWS)}, got {name!r}")
     return REFERENCE_LAWS[name].from_dict(params, where=f"reference law {name!r}")
