@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -320,6 +321,15 @@ class TestPersistence:
         doc = json.loads((out / "summary.json").read_text())
         assert doc["summary"]["total_trials"] == 0
         assert doc["summary"]["total_failed"] == 0
+
+    def test_wall_time_total_is_the_sweep_wall_time(self, tmp_path):
+        # parallel trials overlap, so a sum of per-trial times would over-count
+        cfg = small_config(replicates=4)
+        start = time.perf_counter()
+        result = run_sweep(cfg, n_jobs=2)
+        elapsed = time.perf_counter() - start
+        doc = json.loads((write_results(result, tmp_path / "run") / "summary.json").read_text())
+        assert 0 < doc["wall_time_total"] <= elapsed
 
     def test_round_trip(self, tmp_path):
         cfg = small_config(replicates=2)
