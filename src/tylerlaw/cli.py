@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -103,8 +104,10 @@ def _cmd_law(args) -> int:
 
 def _cmd_trial(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
+    start = time.perf_counter()
     trial = run_trial(cfg, args.pair, args.replicate)
-    write_results(SweepResult(config=cfg, trials=[trial], summary=summarize_sweep(cfg, [trial])), args.out)
+    summary = summarize_sweep(cfg, [trial])
+    write_results(SweepResult(cfg, [trial], summary, wall_time=time.perf_counter() - start), args.out)
     if trial.failed:
         print(f"trial failed: {trial.error}", file=sys.stderr)
         return 3

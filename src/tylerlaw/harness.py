@@ -141,9 +141,8 @@ class TrialResult(Record):
     ``results`` maps estimator tags to their summaries; ``cross_norm`` is
     the spectral norm of sqrt(n/d) (T - S) when both estimators ran.  A
     failed trial carries the error string and an empty ``results``.
-    ``wall_time`` and ``spectra`` are in-memory diagnostics: they are
-    excluded from equality and from trials.json so that identical configs
-    persist byte-identically.
+    ``spectra`` is an in-memory diagnostic: it is excluded from equality and
+    from trials.json so that identical configs persist byte-identically.
     """
 
     _schema = True
@@ -156,7 +155,6 @@ class TrialResult(Record):
     results: dict[str, EstimatorResult]
     cross_norm: float | None = None
     error: str | None = None
-    wall_time: float = field(default=0.0, compare=False)
     spectra: dict[str, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -180,7 +178,6 @@ def run_trial(cfg: ExperimentConfig, pair_index: int, replicate: int) -> TrialRe
         raise ValueError(f"pair_index must be in 0..{len(cfg.schedule) - 1} and replicate in 0..{cfg.replicates - 1}")
     d, n = cfg.schedule[pair_index]
     seed = derive_seed(cfg.base_seed, pair_index, replicate)
-    start = time.perf_counter()
     trial = TrialResult(pair_index=pair_index, replicate=replicate, d=d, n=n, seed=seed, results={})
     try:
         X = sample_population(cfg.population.instantiate(d, seed), n)
@@ -197,7 +194,6 @@ def run_trial(cfg: ExperimentConfig, pair_index: int, replicate: int) -> TrialRe
     except (ValueError, OverflowError, RuntimeError) as exc:
         trial.results, trial.cross_norm = {}, None
         trial.error = f"{type(exc).__name__}: {exc}"
-    trial.wall_time = time.perf_counter() - start
     return trial
 
 
@@ -230,9 +226,12 @@ class SweepSummary(Record):
 
 @dataclass
 class SweepResult:
+    """A sweep's records and aggregates, and its wall time in seconds."""
+
     config: ExperimentConfig
     trials: list[TrialResult]
     summary: SweepSummary
+    wall_time: float
 
 
 def _estimator_aggregates(records: list[EstimatorResult]) -> dict:
@@ -312,13 +311,15 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    start = time.perf_counter()
     tasks = [(i, r) for i in range(len(cfg.schedule)) for r in range(cfg.replicates)]
     if n_jobs > 1:
         with _one_blas_thread(), ThreadPoolExecutor(max_workers=n_jobs) as pool:
             trials = list(pool.map(lambda t: run_trial(cfg, *t), tasks))
     else:
         trials = [run_trial(cfg, i, r) for i, r in tasks]
-    return SweepResult(config=cfg, trials=trials, summary=summarize_sweep(cfg, trials))
+    summary = summarize_sweep(cfg, trials)
+    return SweepResult(config=cfg, trials=trials, summary=summary, wall_time=time.perf_counter() - start)
 
 
 def _atomic_write_text(path: Path, text: str):
@@ -342,7 +343,7 @@ def write_results(result: SweepResult, out_dir) -> Path:
         "schema": SCHEMA_VERSION,
         "config": result.config.to_dict(),
         "summary": result.summary.to_dict(),
-        "wall_time_total": float(sum(t.wall_time for t in result.trials)),
+        "wall_time_total": result.wall_time,
     }
     _atomic_write_text(out / "summary.json", json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
 

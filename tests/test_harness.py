@@ -315,7 +315,7 @@ class TestPersistence:
 
     def test_empty_results(self, tmp_path):
         cfg = small_config()
-        empty = SweepResult(config=cfg, trials=[], summary=summarize_sweep(cfg, []))
+        empty = SweepResult(config=cfg, trials=[], summary=summarize_sweep(cfg, []), wall_time=0.0)
         out = write_results(empty, tmp_path / "run")
         assert (out / "trials.json").read_text() == ""
         doc = json.loads((out / "summary.json").read_text())
