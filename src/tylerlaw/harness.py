@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg._fblas
+from scipy.linalg import lstsq
 
 from .codec import SCHEMA_VERSION, Record, check_keys, decode
 from .estimators import sample_covariance, tyler
@@ -274,9 +275,12 @@ def summarize_sweep(cfg: ExperimentConfig, trials: list[TrialResult]) -> SweepSu
 
     slope = None
     if len({d for d, _ in var_points}) >= 2:
-        logd = np.log([d for d, _ in var_points])
-        logv = np.log([v for _, v in var_points])
-        slope = float(np.polyfit(logd, logv, 1)[0])
+        # np.polyfit's degree-1 fit (Vandermonde columns scaled to unit norm,
+        # the same cutoff), solved by scipy's LAPACK rather than numpy's
+        A = np.vander(np.log([d for d, _ in var_points]), 2)
+        scale = np.sqrt((A * A).sum(axis=0))
+        coef = lstsq(A / scale, np.log([v for _, v in var_points]), cond=len(A) * np.finfo(float).eps)[0]
+        slope = float(coef[0] / scale[0])
 
     failed = sum(1 for t in trials if t.failed)
     return SweepSummary(pairs=pairs, total_trials=len(trials), total_failed=failed, variance_slope=slope)
