@@ -311,8 +311,9 @@ class TestTrialAndSweep:
         [
             ({"tyler": {"tol": float("nan")}}, "finite tol > 0"),
             ({"population": {"radial": "constant", "c": float("nan")}}, "finite and nonzero"),
+            ({"population": {"radial": "constant", "c": 0}}, "ConstantRadius 'c' must be finite and nonzero"),
         ],
-        ids=["tol", "c"],
+        ids=["tol", "c", "c-zero"],
     )
     def test_non_finite_config_values_rejected(self, tmp_path, capsys, override, message):
         # Python's json reads NaN and Infinity as floats
