@@ -132,18 +132,18 @@ class ScaledFRootRadius:
 
 @dataclass(frozen=True)
 class ConstantRadius:
-    """R = value exactly; value must be finite and nonzero (may be negative)."""
+    """R = c exactly; c must be finite and nonzero (may be negative)."""
 
     name: typing.ClassVar[str] = "constant"
     params: typing.ClassVar[tuple[str, ...]] = ("c",)
-    value: float
+    c: float
 
     def __post_init__(self):
-        if self.value == 0 or not np.isfinite(self.value):
-            raise ValueError(f"ConstantRadius value must be finite and nonzero, got {self.value!r}")
+        if self.c == 0 or not np.isfinite(self.c):
+            raise ValueError(f"ConstantRadius 'c' must be finite and nonzero, got {self.c!r}")
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return np.full(m, float(self.value))
+        return np.full(m, float(self.c))
 
 
 @dataclass(frozen=True)
