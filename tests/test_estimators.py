@@ -345,8 +345,10 @@ class TestTylerResidual:
             (np.diag([np.nan, 1.0]), "non-finite-entry"),
             (np.array([[1.0, np.inf], [np.inf, 1.0]]), "non-finite-entry"),
             (np.ones((3, 2)), "expected a square matrix"),
+            # f2py's dtrsm raised its own error class, which is not a ValueError
+            (np.eye(3), r"expected a \(2, 2\) triangle, got shape \(3, 3\)"),
         ],
-        ids=["nan-diagonal", "inf-entry", "not-square"],
+        ids=["nan-diagonal", "inf-entry", "not-square", "other-dimension"],
     )
     def test_malformed_shape_rejected(self, shape, message):
         with pytest.raises(ValueError, match=message):
