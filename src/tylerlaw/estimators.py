@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.blas import ddot, dgemm, dgemv, dsyrk, dtrsm
-from scipy.linalg.lapack import dgelss, dpotrf
+from scipy.linalg.blas import ddot, dgemm, dgemv
+from scipy.linalg.lapack import dgelss
 
+from . import _blas
 from .spectral import symmetric_eigenvalues
 
 __all__ = ["TylerReport", "NoConvergenceError", "sample_covariance", "tyler", "tyler_residual"]
@@ -109,7 +110,7 @@ def _gram(Y: np.ndarray) -> np.ndarray:
     # call of the package: numpy's bundled OpenBLAS has a second thread pool,
     # which would fight scipy's.  dsyrk fills the upper triangle and leaves
     # zeros below, so G + G.T doubles only the diagonal; halving it is exact
-    G = dsyrk(1.0, Y.T, trans=1)
+    G = _blas.dsyrk(Y.T)
     G = G + G.T
     G.flat[:: Y.shape[0] + 1] *= 0.5
     return G
@@ -120,14 +121,14 @@ def _tyler_rhs(X: np.ndarray, omega: np.ndarray) -> np.ndarray:
     d, n = X.shape
     # no finiteness scans: X has passed `_as_data_matrix`, and omega is an
     # iterate `tyler` found finite or a shape `tyler_residual` has checked
-    L, info = dpotrf(omega, lower=1)
+    L, info = _blas.dpotrf(omega)
     if info != 0:
         raise LinAlgError(f"omega is not positive definite (dpotrf info {info})")
     # X_j^t omega^{-1} X_j = |L^{-1} X_j|^2 from one triangular solve, made
     # from the right on X^t (X's memory in Fortran order, so X is not copied
     # transposed): row j of Z is (L^{-1} X_j)^t.  Z is dropped before the
     # scaled data, so a call holds one (d, n) temporary at a time
-    Z = dtrsm(1.0, L, X.T, side=1, lower=1, trans_a=1)
+    Z = _blas.dtrsm(L, X.T)
     q = np.einsum("ij,ij->i", Z, Z)
     del Z
     return _gram(X / np.sqrt(q)) * (d / n)

@@ -14,19 +14,17 @@ in README.md ("Config schema" and "Output layout").
 
 from __future__ import annotations
 
-import ctypes
 import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg._fblas
 from scipy.linalg import lstsq
 
+from ._blas import one_blas_thread
 from .codec import SCHEMA_VERSION, Record, check_keys, decode
 from .estimators import sample_covariance, tyler
 from .laws import ReferenceLaw, Semicircle, law_from_dict, law_to_dict
@@ -286,24 +284,6 @@ def summarize_sweep(cfg: ExperimentConfig, trials: list[TrialResult]) -> SweepSu
     return SweepSummary(pairs=pairs, total_trials=len(trials), total_failed=failed, variance_slope=slope)
 
 
-def _openblas_thread_calls():
-    """(get, set) of scipy's OpenBLAS thread count, or None if it exports neither."""
-    lib = ctypes.CDLL(scipy.linalg._fblas.__file__)  # dlsym also searches the OpenBLAS it links
-    names = ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads")
-    return tuple(getattr(lib, k) for k in names) if all(hasattr(lib, k) for k in names) else None
-
-
-@contextmanager
-def _one_blas_thread():
-    get, set_ = _openblas_thread_calls() or (lambda: None, lambda count: None)
-    prior = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(prior)
-
-
 def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
     """Run every (pair, replicate) trial; parallelism never changes the output.
 
@@ -318,7 +298,7 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
     start = time.perf_counter()
     tasks = [(i, r) for i in range(len(cfg.schedule)) for r in range(cfg.replicates)]
     if n_jobs > 1:
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        with one_blas_thread(), ThreadPoolExecutor(max_workers=n_jobs) as pool:
             trials = list(pool.map(lambda t: run_trial(cfg, *t), tasks))
     else:
         trials = [run_trial(cfg, i, r) for i, r in tasks]

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dsyevd
+
+from . import _blas
 
 __all__ = ["symmetric_eigenvalues", "spectral_norm", "standardize"]
 
@@ -39,7 +40,7 @@ def symmetric_eigenvalues(A) -> np.ndarray:
     non-finite or non-symmetric matrix and LinAlgError when the solver fails
     to converge.
     """
-    w, _, info = dsyevd(_as_symmetric(A), compute_v=0, lower=1)
+    w, info = _blas.dsyevd(_as_symmetric(A))
     if info != 0:
         raise LinAlgError(f"dsyevd failed to converge (info {info})")
     return w

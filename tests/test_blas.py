@@ -1,0 +1,143 @@
+"""The ctypes wrappers of ``tylerlaw._blas`` against scipy's f2py wrappers.
+
+Each wrapper promises the bits of the f2py call it replaces.  ctypes passes
+raw pointers, so a layout mistake would be a silent wrong answer: every
+wrapper is also fed C-ordered, strided, integer and read-only inputs, which
+f2py turns into Fortran-ordered float64 copies.
+"""
+
+import ctypes
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+from scipy.linalg import blas, lapack
+
+from tylerlaw import _blas, estimators
+
+SHAPES = [(1, 1), (3, 3), (4, 40), (16, 1600), (32, 3200), (64, 6400), (100, 120)]
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def kernel_inputs(d, n, seed=0):
+    # a (d, n) data matrix, a positive definite (d, d) shape and its factor
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((d, n))
+    A = rng.standard_normal((d, d))
+    omega = A @ A.T / d + np.eye(d)
+    return X, omega, lapack.dpotrf(omega, lower=1)[0]
+
+
+def f2py_dsyevd(a):
+    w, _, info = lapack.dsyevd(a, compute_v=0, lower=1)
+    return w, info
+
+
+@pytest.mark.parametrize("d, n", SHAPES, ids=lambda v: str(v))
+def test_kernel_routines_match_f2py_bit_for_bit(d, n):
+    X, omega, L = kernel_inputs(d, n)
+    got, want = _blas.dpotrf(omega), lapack.dpotrf(omega, lower=1, clean=0)
+    assert_same_bits(got[0], want[0])
+    assert got[1] == want[1] == 0
+    assert_same_bits(_blas.dtrsm(L, X.T), blas.dtrsm(1.0, L, X.T, side=1, lower=1, trans_a=1))
+    assert_same_bits(_blas.dsyrk(X.T), blas.dsyrk(1.0, X.T, trans=1))
+    assert_same_bits(_blas.dsyevd(omega)[0], f2py_dsyevd(omega)[0])
+
+
+@pytest.mark.parametrize("d", [64, 100, 200])
+def test_dsyevd_keeps_f2py_workspace_bits(d):
+    # a larger work array than f2py's 2d + 1 changed eigenvalue bits from d = 64 on
+    A = np.random.default_rng(d).standard_normal((d, d))
+    A = A + A.T
+    got, want = _blas.dsyevd(A), f2py_dsyevd(A)
+    assert_same_bits(got[0], want[0])
+    assert got[1] == want[1] == 0
+
+
+def test_dpotrf_reports_f2py_info_on_a_matrix_that_is_not_positive_definite():
+    A = np.diag([2.0, 1.0, -1.0, 3.0])
+    got, want = _blas.dpotrf(A), lapack.dpotrf(A, lower=1, clean=0)
+    assert got[1] == want[1] == 3
+    assert_same_bits(got[0], want[0])
+
+
+def layouts(M):
+    # M (integer-valued floats) in the layouts a caller may pass
+    strided = np.zeros((2 * M.shape[0], 3 * M.shape[1]))
+    strided[::2, ::3] = M
+    readonly = np.asfortranarray(M)
+    readonly.flags.writeable = False
+    return {
+        "fortran": np.asfortranarray(M),
+        "c": np.ascontiguousarray(M),
+        "strided": strided[::2, ::3],
+        "int": M.astype(np.int64),
+        "readonly": readonly,
+    }
+
+
+LAYOUTS = list(layouts(np.eye(1)))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_wrappers_take_any_layout_as_f2py_does(layout):
+    rng = np.random.default_rng(1)
+    B = rng.integers(-9, 10, size=(5, 40)).astype(float)
+    omega = B @ B.T + 5 * np.eye(5)  # integer-valued and positive definite
+    L = np.tril(rng.integers(1, 9, size=(5, 5))).astype(float)
+    S = rng.integers(-9, 10, size=(6, 6)).astype(float)
+    S = S + S.T
+    omega_in, L_in, Xt_in, S_in = (layouts(M)[layout] for M in (omega, L, B.T, S))
+    got, want = _blas.dpotrf(omega_in), lapack.dpotrf(omega_in, lower=1, clean=0)
+    assert_same_bits(got[0], want[0])
+    assert got[1] == want[1] == 0
+    assert_same_bits(_blas.dtrsm(L_in, Xt_in), blas.dtrsm(1.0, L_in, Xt_in, side=1, lower=1, trans_a=1))
+    assert_same_bits(_blas.dsyrk(Xt_in), blas.dsyrk(1.0, Xt_in, trans=1))
+    assert_same_bits(_blas.dsyevd(S_in)[0], f2py_dsyevd(S_in)[0])
+
+
+def test_empty_matrices_match_f2py():
+    empty = np.zeros((0, 0))
+    assert_same_bits(_blas.dpotrf(empty)[0], lapack.dpotrf(empty, lower=1, clean=0)[0])
+    assert_same_bits(_blas.dsyevd(empty)[0], f2py_dsyevd(empty)[0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _blas.dpotrf(np.ones((2, 3))), r"square matrix, got shape \(2, 3\)"),
+        (lambda: _blas.dsyevd(np.ones(3)), r"square matrix, got shape \(3,\)"),
+        (lambda: _blas.dtrsm(np.eye(3), np.ones((5, 4))), r"\(4, 4\) triangle, got shape \(3, 3\)"),
+    ],
+    ids=["dpotrf-not-square", "dsyevd-1d", "dtrsm-mismatch"],
+)
+def test_shapes_are_checked_before_the_call(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_kernels_release_the_gil():
+    # a ctypes function made with PYFUNCTYPE (FUNCFLAG_PYTHONAPI) keeps the GIL
+    for fn in (_blas._dpotrf, _blas._dtrsm, _blas._dsyrk, _blas._dsyevd):
+        assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
+def test_concurrent_kernels_match_serial_bit_for_bit():
+    inputs = [kernel_inputs(d, 25 * d, seed)[:2] for seed, d in enumerate([8, 16, 24, 32] * 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _blas.one_blas_thread():
+            serial = [estimators._tyler_rhs(X, omega) for X, omega in inputs]
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(estimators._tyler_rhs, X, omega) for X, omega in inputs * 4]
+                parallel = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in enumerate(parallel):
+        assert_same_bits(got, serial[k % len(inputs)])

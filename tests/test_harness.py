@@ -18,7 +18,7 @@ from tylerlaw import (
     summarize_sweep,
     write_results,
 )
-from tylerlaw import harness
+from tylerlaw import _blas, harness
 from tylerlaw.harness import TrialResult
 
 
@@ -220,7 +220,7 @@ class TestRunTrial:
 def blas_threads():
     """Set scipy's OpenBLAS to 2 threads, a count a parallel sweep must change
     and restore; yield the getter and put the prior count back afterwards."""
-    get, set_ = harness._openblas_thread_calls()
+    get, set_ = _blas.openblas_thread_calls()
     prior = get()
     set_(2)
     yield get
@@ -269,7 +269,7 @@ class TestRunSweep:
     def test_blas_thread_calls_resolve(self):
         # CI pins scipy 1.17.1, whose wheel exports both calls; without them
         # the one-thread policy below would be a silent no-op
-        assert harness._openblas_thread_calls() is not None
+        assert _blas.openblas_thread_calls() is not None
 
     def test_parallel_trials_run_on_one_blas_thread(self, blas_threads, monkeypatch):
         seen = []

@@ -4,6 +4,9 @@ numpy and scipy each bundle an OpenBLAS with its own thread pool; a trial
 that calls both wakes two pools that compete for the cores.  This scans the
 source for the numpy entry points into its BLAS and LAPACK.  Axis-wise
 ``np.linalg.norm`` stays allowed: it reduces elementwise and calls no BLAS.
+
+The four heavy routines have one path: ``tylerlaw._blas`` calls them without
+the GIL, so no other module may import scipy's f2py wrappers of them.
 """
 
 import ast
@@ -17,6 +20,8 @@ SOURCES = sorted(Path(tylerlaw.__file__).parent.glob("*.py"))
 _NUMPY_BLAS = {"dot", "matmul", "inner", "tensordot", "polyfit"}  # polyfit solves with numpy.linalg.lstsq
 _LINALG_ALLOWED = {"LinAlgError", "norm"}
 _BANNED_IMPORTS = {f"numpy.{name}" for name in _NUMPY_BLAS | {"linalg"}}
+_KERNELS = {"dpotrf", "dtrsm", "dsyrk", "dsyevd"}  # called through tylerlaw._blas only
+_F2PY_MODULES = {"scipy.linalg.blas", "scipy.linalg.lapack"}
 
 
 def _np_attribute(node, *path):
@@ -62,6 +67,40 @@ def numpy_linalg_calls(source: str) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_numpy_blas_or_lapack_call(path):
     assert numpy_linalg_calls(path.read_text()) == []
+
+
+def f2py_kernel_imports(source: str) -> list[str]:
+    """Lines of ``source`` that import an f2py wrapper of one of the four kernels."""
+    return [
+        f"{node.lineno}: from {node.module} import {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module in _F2PY_MODULES
+        for alias in node.names
+        if alias.name in _KERNELS
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "_blas.py"], ids=lambda p: p.name)
+def test_kernels_reached_only_through_blas_module(path):
+    assert f2py_kernel_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "line, count",
+    [
+        ("from scipy.linalg.blas import dsyrk", 1),
+        ("from scipy.linalg.blas import ddot, dgemm, dtrsm", 1),
+        ("from scipy.linalg.lapack import dgelss, dpotrf", 1),
+        ("from scipy.linalg.lapack import dsyevd as eig", 1),
+        ("from scipy.linalg.blas import dsyrk, dtrsm", 2),
+        ("from scipy.linalg.blas import ddot, dgemm, dgemv", 0),
+        ("from scipy.linalg.lapack import dgelss", 0),
+        ("from . import _blas", 0),
+        ("from ._blas import dsyevd", 0),
+    ],
+)
+def test_scan_flags_f2py_kernel_imports(line, count):
+    assert len(f2py_kernel_imports(line)) == count
 
 
 @pytest.mark.parametrize(
