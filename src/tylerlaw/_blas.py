@@ -13,7 +13,7 @@ from scipy.linalg import cython_blas, cython_lapack
 
 _name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
 _pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))
-# last word of an argument's C type in scipy's declaration -> its ctypes type
+# last word of an argument's C type in scipy's declaration (its typedef "d" is a double) -> its ctypes type
 _ARGTYPES = {"char": ctypes.c_char_p, "int": ctypes.POINTER(ctypes.c_int), "d": ctypes.POINTER(ctypes.c_double)}
 
 
