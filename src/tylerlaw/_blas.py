@@ -1,4 +1,4 @@
-"""dpotrf, dtrsm, dsyrk and dsyevd without the GIL; scipy's OpenBLAS thread count.
+"""dpotrf, dtrtri, dtrmm, dsyrk and dsyevd without the GIL; scipy's OpenBLAS thread count.
 
 Each routine is called through its pointer in scipy's public Cython API by a ctypes
 function, which releases the GIL (scipy's f2py wrappers hold it), with the arguments
@@ -25,7 +25,7 @@ def _bind(name):
     return ctypes.CFUNCTYPE(None, *argtypes)(_pointer(capsule, _name(capsule)))
 
 
-_dpotrf, _dtrsm, _dsyrk, _dsyevd = map(_bind, ("dpotrf", "dtrsm", "dsyrk", "dsyevd"))
+_dpotrf, _dtrtri, _dtrmm, _dsyrk, _dsyevd = map(_bind, ("dpotrf", "dtrtri", "dtrmm", "dsyrk", "dsyevd"))
 _INT, _ONE, _ZERO = ctypes.c_int, ctypes.c_double(1.0), ctypes.c_double(0.0)
 
 
@@ -54,14 +54,21 @@ def dpotrf(a):
     return c, info.value
 
 
-def dtrsm(a, b):
-    """f2py's ``dtrsm(1.0, a, b, side=1, lower=1, trans_a=1)``: b a^-t from a's lower triangle."""
+def dtrtri(c):
+    """f2py's ``dtrtri(c, lower=1)``: the inverse of c's lower triangle (above it, c's entries) and info."""
+    (c, n, ld), info = _square_copy(c), _INT()
+    _dtrtri(b"L", b"N", n, _at(c), ld, info)
+    return c, info.value
+
+
+def dtrmm(a, b):
+    """f2py's ``dtrmm(1.0, a, b, side=1, lower=1, trans_a=1)``: b a^t from a's lower triangle."""
     b = np.array(b, np.float64, order="F")  # f2py's copy: the routine overwrites it
     m, n = b.shape
     a = np.asfortranarray(a, np.float64)
     if a.shape != (n, n):
         raise ValueError(f"expected a ({n}, {n}) triangle, got shape {a.shape}")
-    _dtrsm(b"R", b"L", b"T", b"N", _INT(m), _INT(n), _ONE, _at(a), _INT(n or 1), _at(b), _INT(m or 1))
+    _dtrmm(b"R", b"L", b"T", b"N", _INT(m), _INT(n), _ONE, _at(a), _INT(n or 1), _at(b), _INT(m or 1))
     return b
 
 

@@ -25,6 +25,7 @@ import time
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .estimators import NoConvergenceError, tyler
 from .harness import (
     ExperimentConfig,
@@ -105,7 +106,8 @@ def _cmd_law(args) -> int:
 def _cmd_trial(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     start = time.perf_counter()
-    trial = run_trial(cfg, args.pair, args.replicate)
+    with one_blas_thread():  # as in a sweep, so the record is the sweep's
+        trial = run_trial(cfg, args.pair, args.replicate)
     summary = summarize_sweep(cfg, [trial])
     write_results(SweepResult(cfg, [trial], summary, wall_time=time.perf_counter() - start), args.out)
     if trial.failed:
@@ -174,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a full experiment config")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel trials, as threads on one BLAS thread each (output is identical)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel trials, as threads; every trial runs on one BLAS thread (output is identical)")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -289,19 +289,20 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
 
     Each trial derives its own seed, so any execution order yields the same
     records; both paths return them in (pair, replicate) order.
-    With ``n_jobs > 1`` trials run in threads and the process-wide thread
-    count of scipy's OpenBLAS is 1 until the sweep returns or raises, so that
-    n_jobs trials do not fight n_jobs BLAS pools for the cores.
+    Every trial runs on one BLAS thread, and cores are used through
+    ``n_jobs`` trial threads: the process-wide thread count of scipy's
+    OpenBLAS is 1 until the sweep returns or raises, at any ``n_jobs``.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     start = time.perf_counter()
     tasks = [(i, r) for i in range(len(cfg.schedule)) for r in range(cfg.replicates)]
-    if n_jobs > 1:
-        with one_blas_thread(), ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            trials = list(pool.map(lambda t: run_trial(cfg, *t), tasks))
-    else:
-        trials = [run_trial(cfg, i, r) for i, r in tasks]
+    with one_blas_thread():
+        if n_jobs > 1:
+            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+                trials = list(pool.map(lambda t: run_trial(cfg, *t), tasks))
+        else:
+            trials = [run_trial(cfg, i, r) for i, r in tasks]
     summary = summarize_sweep(cfg, trials)
     return SweepResult(config=cfg, trials=trials, summary=summary, wall_time=time.perf_counter() - start)
 

@@ -38,13 +38,20 @@ def f2py_dsyevd(a):
     return w, info
 
 
+def f2py_dtrmm(a, b):
+    return blas.dtrmm(1.0, a, b, side=1, lower=1, trans_a=1)
+
+
 @pytest.mark.parametrize("d, n", SHAPES, ids=lambda v: str(v))
 def test_kernel_routines_match_f2py_bit_for_bit(d, n):
     X, omega, L = kernel_inputs(d, n)
     got, want = _blas.dpotrf(omega), lapack.dpotrf(omega, lower=1, clean=0)
     assert_same_bits(got[0], want[0])
     assert got[1] == want[1] == 0
-    assert_same_bits(_blas.dtrsm(L, X.T), blas.dtrsm(1.0, L, X.T, side=1, lower=1, trans_a=1))
+    got, want = _blas.dtrtri(L), lapack.dtrtri(L, lower=1)
+    assert_same_bits(got[0], want[0])
+    assert got[1] == want[1] == 0
+    assert_same_bits(_blas.dtrmm(got[0], X.T), f2py_dtrmm(got[0], X.T))
     assert_same_bits(_blas.dsyrk(X.T), blas.dsyrk(1.0, X.T, trans=1))
     assert_same_bits(_blas.dsyevd(omega)[0], f2py_dsyevd(omega)[0])
 
@@ -62,6 +69,14 @@ def test_dsyevd_keeps_f2py_workspace_bits(d):
 def test_dpotrf_reports_f2py_info_on_a_matrix_that_is_not_positive_definite():
     A = np.diag([2.0, 1.0, -1.0, 3.0])
     got, want = _blas.dpotrf(A), lapack.dpotrf(A, lower=1, clean=0)
+    assert got[1] == want[1] == 3
+    assert_same_bits(got[0], want[0])
+
+
+def test_dtrtri_reports_f2py_info_on_a_triangle_with_a_zero_diagonal_entry():
+    L = np.tril(np.arange(1.0, 17.0).reshape(4, 4))
+    L[2, 2] = 0.0
+    got, want = _blas.dtrtri(L), lapack.dtrtri(L, lower=1)
     assert got[1] == want[1] == 3
     assert_same_bits(got[0], want[0])
 
@@ -96,7 +111,10 @@ def test_wrappers_take_any_layout_as_f2py_does(layout):
     got, want = _blas.dpotrf(omega_in), lapack.dpotrf(omega_in, lower=1, clean=0)
     assert_same_bits(got[0], want[0])
     assert got[1] == want[1] == 0
-    assert_same_bits(_blas.dtrsm(L_in, Xt_in), blas.dtrsm(1.0, L_in, Xt_in, side=1, lower=1, trans_a=1))
+    got, want = _blas.dtrtri(L_in), lapack.dtrtri(L_in, lower=1)
+    assert_same_bits(got[0], want[0])
+    assert got[1] == want[1] == 0
+    assert_same_bits(_blas.dtrmm(L_in, Xt_in), f2py_dtrmm(L_in, Xt_in))
     assert_same_bits(_blas.dsyrk(Xt_in), blas.dsyrk(1.0, Xt_in, trans=1))
     assert_same_bits(_blas.dsyevd(S_in)[0], f2py_dsyevd(S_in)[0])
 
@@ -105,6 +123,9 @@ def test_empty_matrices_match_f2py():
     empty = np.zeros((0, 0))
     assert_same_bits(_blas.dpotrf(empty)[0], lapack.dpotrf(empty, lower=1, clean=0)[0])
     assert_same_bits(_blas.dsyevd(empty)[0], f2py_dsyevd(empty)[0])
+    assert_same_bits(_blas.dtrtri(empty)[0], lapack.dtrtri(empty, lower=1)[0])
+    assert_same_bits(_blas.dtrmm(empty, np.zeros((5, 0))), f2py_dtrmm(empty, np.zeros((5, 0))))
+    assert_same_bits(_blas.dtrmm(np.eye(3), np.zeros((0, 3))), f2py_dtrmm(np.eye(3), np.zeros((0, 3))))
 
 
 @pytest.mark.parametrize(
@@ -112,9 +133,10 @@ def test_empty_matrices_match_f2py():
     [
         (lambda: _blas.dpotrf(np.ones((2, 3))), r"square matrix, got shape \(2, 3\)"),
         (lambda: _blas.dsyevd(np.ones(3)), r"square matrix, got shape \(3,\)"),
-        (lambda: _blas.dtrsm(np.eye(3), np.ones((5, 4))), r"\(4, 4\) triangle, got shape \(3, 3\)"),
+        (lambda: _blas.dtrtri(np.ones((3, 2))), r"square matrix, got shape \(3, 2\)"),
+        (lambda: _blas.dtrmm(np.eye(3), np.ones((5, 4))), r"\(4, 4\) triangle, got shape \(3, 3\)"),
     ],
-    ids=["dpotrf-not-square", "dsyevd-1d", "dtrsm-mismatch"],
+    ids=["dpotrf-not-square", "dsyevd-1d", "dtrtri-not-square", "dtrmm-mismatch"],
 )
 def test_shapes_are_checked_before_the_call(call, message):
     with pytest.raises(ValueError, match=message):
@@ -123,7 +145,7 @@ def test_shapes_are_checked_before_the_call(call, message):
 
 def test_kernels_release_the_gil():
     # a ctypes function made with PYFUNCTYPE (FUNCFLAG_PYTHONAPI) keeps the GIL
-    for fn in (_blas._dpotrf, _blas._dtrsm, _blas._dsyrk, _blas._dsyevd):
+    for fn in (_blas._dpotrf, _blas._dtrtri, _blas._dtrmm, _blas._dsyrk, _blas._dsyevd):
         assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from tylerlaw import MarchenkoPastur, Semicircle
+from tylerlaw import MarchenkoPastur, Semicircle, _blas, cli
 from tylerlaw.cli import main
 
 
@@ -259,6 +259,32 @@ class TestTrialAndSweep:
         record = json.loads(lines[0])
         assert record["pair_index"] == 0 and record["replicate"] == 0
         assert set(record["results"]) == {"covariance", "tyler"}
+
+    def test_trial_writes_the_sweeps_record(self, tmp_path, monkeypatch):
+        # one trial run alone writes, byte for byte, the line the sweep
+        # writes for its address, on one BLAS thread as in the sweep,
+        # whatever the thread count before
+        cfg = write_config(tmp_path, schedule=[[4, 40], [16, 1600]])
+        seen = []
+
+        def spy(*args):
+            seen.append(get())
+            return real(*args)
+
+        real, (get, set_) = cli.run_trial, _blas.openblas_thread_calls()
+        monkeypatch.setattr(cli, "run_trial", spy)
+        prior = get()
+        set_(2)
+        try:
+            assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep") == 0
+            args = ("--pair", 1, "--replicate", 1, "--out", tmp_path / "trial")
+            assert run_cli("trial", "--config", cfg, *args) == 0
+            assert seen == [1] and get() == 2
+        finally:
+            set_(prior)
+        swept = (tmp_path / "sweep" / "trials.json").read_text().splitlines(keepends=True)
+        assert (tmp_path / "trial" / "trials.json").read_text() == swept[3]
+        assert json.loads(swept[3])["pair_index"] == json.loads(swept[3])["replicate"] == 1
 
     def test_sweep_outputs_and_reproducibility(self, tmp_path):
         cfg = write_config(tmp_path)

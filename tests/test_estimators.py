@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve, lapack
 
 from tylerlaw import (
     ChiRadius,
@@ -345,7 +345,7 @@ class TestTylerResidual:
             (np.diag([np.nan, 1.0]), "non-finite-entry"),
             (np.array([[1.0, np.inf], [np.inf, 1.0]]), "non-finite-entry"),
             (np.ones((3, 2)), "expected a square matrix"),
-            # f2py's dtrsm raised its own error class, which is not a ValueError
+            # f2py's triangular routines raise their own error class, which is not a ValueError
             (np.eye(3), r"expected a \(2, 2\) triangle, got shape \(3, 3\)"),
         ],
         ids=["nan-diagonal", "inf-entry", "not-square", "other-dimension"],
@@ -364,8 +364,9 @@ class TestTylerKernel:
 
     @pytest.mark.parametrize("d, n", [(4, 40), (16, 1600), (64, 6400)])
     def test_agrees_with_reference_to_roundoff(self, d, n):
-        # one triangular solve where the reference makes two, so the kernel
-        # rounds differently; it measured at most 5.3e-16 over seeds 0-4
+        # the inverted factor and one triangular product where the reference
+        # makes two solves, so the kernel rounds differently; it measured at
+        # most 5.3e-16 over seeds 0-4
         X, omega = self.pair(d, n)
         got, want = estimators._tyler_rhs(X, omega), reference_rhs(X, omega)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -375,10 +376,66 @@ class TestTylerKernel:
         got, want = estimators._tyler_rhs(X, omega), reference_rhs(X, omega)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @staticmethod
+    def dtrsm_rhs(X, omega):
+        # the kernel whitened by f2py's triangular solve, as before the
+        # inverted factor: the reference for the whitening step alone
+        d, n = X.shape
+        Z = blas.dtrsm(1.0, lapack.dpotrf(omega, lower=1)[0], X.T, side=1, lower=1, trans_a=1)
+        Y = X / np.sqrt(np.einsum("ij,ij->i", Z, Z))
+        G = (d / n) * (Y @ Y.T)
+        return 0.5 * (G + G.T)
+
+    @pytest.mark.parametrize("cond", [1e0, 1e4, 1e8, 1e12, 1e14])
+    @pytest.mark.parametrize("d, n", [(16, 1600), (64, 6400), (100, 120)])
+    def test_inverted_factor_agrees_with_triangular_solve(self, d, n, cond):
+        # a rotated shape of condition cond, up to the limit tyler_residual
+        # accepts; the gap measured at most 3.0e-15 relative
+        rng = np.random.default_rng(0)
+        Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        omega = (Q * np.geomspace(1.0, 1.0 / cond, d)) @ Q.T
+        omega = 0.5 * (omega + omega.T)
+        X = rng.standard_normal((d, n))
+        got, want = estimators._tyler_rhs(X, omega), self.dtrsm_rhs(X, omega)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_rejects_omega_that_is_not_positive_definite(self):
         X = np.random.default_rng(0).standard_normal((2, 4))
         with pytest.raises(LinAlgError):
             estimators._tyler_rhs(X, np.diag([1.0, -1.0]))
+
+    @staticmethod
+    def singular_factor_after(monkeypatch, calls):
+        # from call `calls` + 1 on, dtrtri sees the factor with a zero
+        # diagonal entry and reports it, as it would for a singular factor
+        real, seen = estimators._blas.dtrtri, []
+
+        def dtrtri(c):
+            seen.append(c)
+            if len(seen) > calls:
+                c = np.array(c)
+                c[-1, -1] = 0.0
+            return real(c)
+
+        monkeypatch.setattr(estimators._blas, "dtrtri", dtrtri)
+
+    def test_failed_inversion_raises_linalg_error(self, monkeypatch):
+        self.singular_factor_after(monkeypatch, 0)
+        X, omega = self.pair(4, 40)
+        with pytest.raises(LinAlgError, match=r"Cholesky factor is singular \(dtrtri info 4\)"):
+            estimators._tyler_rhs(X, omega)
+
+    def test_failed_inversion_ends_the_fit(self, monkeypatch):
+        self.singular_factor_after(monkeypatch, 1)  # the identity's evaluation succeeds
+        with pytest.raises(NoConvergenceError, match="lost positive definiteness") as exc:
+            tyler(self.pair(4, 40)[0])
+        assert exc.value.report.iterations == 2
+        assert exc.value.report.residual == np.inf
+
+    def test_failed_inversion_rejects_the_shape(self, monkeypatch):
+        self.singular_factor_after(monkeypatch, 0)
+        with pytest.raises(ValueError, match=r"singular-shape: factorization failed"):
+            tyler_residual(*self.pair(4, 40))
 
     @pytest.mark.parametrize("d, n", [(4, 40), (100, 120)])
     def test_exactly_symmetric(self, d, n):

@@ -284,8 +284,9 @@ class TestRunSweep:
         assert seen == [1] * 6
         assert blas_threads() == 2
         seen.clear()
-        run_sweep(small_config(), n_jobs=1)  # the serial path leaves the count alone
-        assert seen == [2] * 6
+        run_sweep(small_config(), n_jobs=1)  # the serial path too: cores come from n_jobs
+        assert seen == [1] * 6
+        assert blas_threads() == 2
 
     def test_blas_threads_restored_when_a_trial_raises(self, blas_threads, monkeypatch):
         def boom(cfg, i, r):
@@ -293,9 +294,10 @@ class TestRunSweep:
             raise KeyError("boom")
 
         monkeypatch.setattr(harness, "run_trial", boom)
-        with pytest.raises(KeyError, match="boom"):
-            run_sweep(small_config(), n_jobs=2)
-        assert blas_threads() == 2
+        for n_jobs in (1, 2):
+            with pytest.raises(KeyError, match="boom"):
+                run_sweep(small_config(), n_jobs=n_jobs)
+            assert blas_threads() == 2
 
     def test_variance_slope_reported(self):
         cfg = small_config(replicates=4)

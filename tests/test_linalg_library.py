@@ -5,8 +5,10 @@ that calls both wakes two pools that compete for the cores.  This scans the
 source for the numpy entry points into its BLAS and LAPACK.  Axis-wise
 ``np.linalg.norm`` stays allowed: it reduces elementwise and calls no BLAS.
 
-The four heavy routines have one path: ``tylerlaw._blas`` calls them without
-the GIL, so no other module may import scipy's f2py wrappers of them.
+The heavy routines have one path: ``tylerlaw._blas`` calls them without the
+GIL, so no other module may import scipy's f2py wrappers of them.  ``dtrsm``
+stays on the list although no module calls it: the whitening step inverts the
+Cholesky factor instead, and an f2py triangular solve must not come back.
 """
 
 import ast
@@ -20,7 +22,7 @@ SOURCES = sorted(Path(tylerlaw.__file__).parent.glob("*.py"))
 _NUMPY_BLAS = {"dot", "matmul", "inner", "tensordot", "polyfit"}  # polyfit solves with numpy.linalg.lstsq
 _LINALG_ALLOWED = {"LinAlgError", "norm"}
 _BANNED_IMPORTS = {f"numpy.{name}" for name in _NUMPY_BLAS | {"linalg"}}
-_KERNELS = {"dpotrf", "dtrsm", "dsyrk", "dsyevd"}  # called through tylerlaw._blas only
+_KERNELS = {"dpotrf", "dtrtri", "dtrmm", "dtrsm", "dsyrk", "dsyevd"}  # through tylerlaw._blas only
 _F2PY_MODULES = {"scipy.linalg.blas", "scipy.linalg.lapack"}
 
 
@@ -70,7 +72,7 @@ def test_no_numpy_blas_or_lapack_call(path):
 
 
 def f2py_kernel_imports(source: str) -> list[str]:
-    """Lines of ``source`` that import an f2py wrapper of one of the four kernels."""
+    """Lines of ``source`` that import an f2py wrapper of one of the kernels."""
     return [
         f"{node.lineno}: from {node.module} import {alias.name}"
         for node in ast.walk(ast.parse(source))
@@ -93,6 +95,9 @@ def test_kernels_reached_only_through_blas_module(path):
         ("from scipy.linalg.lapack import dgelss, dpotrf", 1),
         ("from scipy.linalg.lapack import dsyevd as eig", 1),
         ("from scipy.linalg.blas import dsyrk, dtrsm", 2),
+        ("from scipy.linalg.lapack import dtrtri", 1),
+        ("from scipy.linalg.blas import dgemm, dtrmm", 1),
+        ("from scipy.linalg.lapack import dpotrf, dtrtri as inverse", 2),
         ("from scipy.linalg.blas import ddot, dgemm, dgemv", 0),
         ("from scipy.linalg.lapack import dgelss", 0),
         ("from . import _blas", 0),
