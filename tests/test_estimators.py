@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -408,11 +410,10 @@ class TestTylerKernel:
     def singular_factor_after(monkeypatch, calls):
         # from call `calls` + 1 on, dtrtri sees the factor with a zero
         # diagonal entry and reports it, as it would for a singular factor
-        real, seen = estimators._blas.dtrtri, []
+        real, count = estimators._blas.dtrtri, itertools.count(1)
 
         def dtrtri(c):
-            seen.append(c)
-            if len(seen) > calls:
+            if next(count) > calls:
                 c = np.array(c)
                 c[-1, -1] = 0.0
             return real(c)
