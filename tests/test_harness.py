@@ -308,6 +308,41 @@ class TestRunSweep:
         if crosses_vary:
             assert result.summary.variance_slope is not None
 
+    @staticmethod
+    def cross_norm_sweep(dims, crosses):
+        # a config over the dims and two trials per pair with the given cross norms
+        cfg = small_config(schedule=tuple((d, 10 * d) for d in dims), replicates=2)
+        trials = [
+            TrialResult(pair_index=i, replicate=r, d=d, n=10 * d, seed=0, results={}, cross_norm=c)
+            for i, (d, pair) in enumerate(zip(dims, crosses))
+            for r, c in enumerate(pair)
+        ]
+        return cfg, trials
+
+    def test_variance_slope_rejects_an_overflowed_variance(self):
+        # the variance of (0, 1e300) overflows to inf: the fit must fail loudly,
+        # as scipy's lstsq does on a non-finite input, not report a NaN slope
+        cfg, trials = self.cross_norm_sweep((4, 8, 16), [(0.0, 1e300), (0.0, 1.0), (0.0, 2.0)])
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError):
+            summarize_sweep(cfg, trials)
+
+    def test_variance_slope_is_scipy_lstsq_bit_for_bit(self):
+        # np.polyfit's degree-1 fit, with the columns scaled to unit norm,
+        # solved by scipy.linalg.lstsq: the reference for the slope
+        from scipy.linalg import lstsq
+
+        rng = np.random.default_rng(20)
+        for _ in range(240):
+            dims = tuple(int(d) for d in rng.choice(np.arange(2, 400), size=rng.integers(2, 7), replace=False))
+            crosses = [(0.0, float(c)) for c in np.exp(rng.uniform(-8, 8, size=len(dims)))]
+            cfg, trials = self.cross_norm_sweep(dims, crosses)
+            summary = summarize_sweep(cfg, trials)
+            A = np.vander(np.log(dims), 2)
+            scale = np.sqrt((A * A).sum(axis=0))
+            logvar = np.log([p.cross_norm_var for p in summary.pairs])
+            coef = lstsq(A / scale, logvar, cond=len(A) * np.finfo(float).eps)[0]
+            assert summary.variance_slope == float(coef[0] / scale[0])
+
 
 class TestPersistence:
     def test_results_must_be_an_object(self):
