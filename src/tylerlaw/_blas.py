@@ -1,15 +1,32 @@
-"""dpotrf, dtrtri, dtrmm, dsyrk and dsyevd without the GIL; scipy's OpenBLAS thread count.
+"""dpotrf, dtrtri, dtrmm, dsyrk and dsyevd without the GIL; the f2py wrappers of the
+Anderson step and the slope fit; scipy's OpenBLAS thread count.
 
-Each routine is called through its pointer in scipy's public Cython API by a ctypes
+Each kernel is called through its pointer in scipy's public Cython API by a ctypes
 function, which releases the GIL (scipy's f2py wrappers hold it), with the arguments
-its f2py wrapper passes the same library, so it returns the same bits."""
+its f2py wrapper passes the same library, so it returns the same bits.  ddot, dgemm,
+dgemv, dgelss, dgelsd and dgelsd_lwork stay f2py: through ctypes a call costs 4-9 us more.
+The four extension modules are loaded by spec from scipy's linalg directory: that skips
+``scipy/linalg/__init__.py`` and the numpy submodules it imports (0.2 s and 14 MB)."""
 
 import ctypes
+import importlib.machinery
+import importlib.util
 from contextlib import contextmanager
 
 import numpy as np
-import scipy.linalg._fblas
-from scipy.linalg import cython_blas, cython_lapack
+import scipy
+
+
+def _linalg_extension(name):
+    spec = importlib.machinery.PathFinder.find_spec(name, [f"{scipy.__path__[0]}/linalg"])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+cython_blas, cython_lapack, _fblas, _flapack = map(_linalg_extension, ("cython_blas", "cython_lapack", "_fblas", "_flapack"))
+ddot, dgemm, dgemv, dgelss = _fblas.ddot, _fblas.dgemm, _fblas.dgemv, _flapack.dgelss
+dgelsd, dgelsd_lwork = _flapack.dgelsd, _flapack.dgelsd_lwork
 
 _name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
 _pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))
@@ -92,7 +109,7 @@ def dsyevd(a):
 
 def openblas_thread_calls():
     """(get, set) of scipy's OpenBLAS thread count, or None if it exports neither."""
-    lib = ctypes.CDLL(scipy.linalg._fblas.__file__)  # dlsym also searches the OpenBLAS it links
+    lib = ctypes.CDLL(_fblas.__file__)  # dlsym also searches the OpenBLAS it links
     names = ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads")
     return tuple(getattr(lib, k) for k in names) if all(hasattr(lib, k) for k in names) else None
 

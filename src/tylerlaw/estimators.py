@@ -11,11 +11,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.blas import ddot, dgemm, dgemv
-from scipy.linalg.lapack import dgelss
+from numpy.linalg import LinAlgError
 
 from . import _blas
+from ._blas import ddot, dgelss, dgemm, dgemv
 from .spectral import symmetric_eigenvalues
 
 __all__ = ["TylerReport", "NoConvergenceError", "sample_covariance", "tyler", "tyler_residual"]

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lstsq
+from numpy.linalg import LinAlgError
 
-from ._blas import one_blas_thread
+from ._blas import dgelsd, dgelsd_lwork, one_blas_thread
 from .codec import SCHEMA_VERSION, Record, check_keys, decode
 from .estimators import sample_covariance, tyler
 from .laws import ReferenceLaw, Semicircle, law_from_dict, law_to_dict
@@ -274,10 +274,15 @@ def summarize_sweep(cfg: ExperimentConfig, trials: list[TrialResult]) -> SweepSu
     slope = None
     if len({d for d, _ in var_points}) >= 2:
         # np.polyfit's degree-1 fit (Vandermonde columns scaled to unit norm,
-        # the same cutoff), solved by scipy's LAPACK rather than numpy's
+        # the same cutoff), solved by scipy's LAPACK with scipy.linalg.lstsq's
+        # calls and checks: an inf variance must raise, dgelsd would return nan
         A = np.vander(np.log([d for d, _ in var_points]), 2)
-        scale = np.sqrt((A * A).sum(axis=0))
-        coef = lstsq(A / scale, np.log([v for _, v in var_points]), cond=len(A) * np.finfo(float).eps)[0]
+        scale, cond = np.sqrt((A * A).sum(axis=0)), len(A) * np.finfo(float).eps
+        work, iwork, _ = dgelsd_lwork(*A.shape, 1, cond)
+        logvar = np.asarray_chkfinite(np.log([v for _, v in var_points]))
+        coef, _, _, info = dgelsd(A / scale, logvar, int(work), iwork, cond, False, False)
+        if info != 0:
+            raise LinAlgError(f"SVD did not converge in the variance slope fit (dgelsd info {info})")
         slope = float(coef[0] / scale[0])
 
     failed = sum(1 for t in trials if t.failed)

@@ -8,7 +8,7 @@ on each entry.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from . import _blas
 

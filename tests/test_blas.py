@@ -7,6 +7,7 @@ f2py turns into Fortran-ordered float64 copies.
 """
 
 import ctypes
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -163,3 +164,57 @@ def test_concurrent_kernels_match_serial_bit_for_bit():
         sys.setswitchinterval(interval)
     for k, got in enumerate(parallel):
         assert_same_bits(got, serial[k % len(inputs)])
+
+
+@pytest.mark.parametrize("d", [4, 16, 64, 100])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_anderson_calls_are_scipy_linalg_bit_for_bit(d, m):
+    # the Anderson step's calls on (d^2, m) history blocks: Fortran-ordered
+    # views of the first m rows, as the step takes them
+    rng = np.random.default_rng(100 * d + m)
+    ddefect, dmapped = rng.standard_normal((2, 5, d * d))
+    defect, mapped = rng.standard_normal((2, d * d))
+    F, G = ddefect[:m].T, dmapped[:m].T
+    gram = _blas.dgemm(1.0, F, F, trans_a=1)
+    assert_same_bits(gram, blas.dgemm(1.0, F, F, trans_a=1))
+    rhs = _blas.dgemv(1.0, F, defect, trans=1)
+    assert_same_bits(rhs, blas.dgemv(1.0, F, defect, trans=1))
+    got, want = _blas.dgelss(gram, rhs, cond=1e-12), lapack.dgelss(gram, rhs, cond=1e-12)
+    for a, b in zip(got[:-1], want[:-1]):
+        assert_same_bits(np.asarray(a), np.asarray(b))
+    assert got[-1] == want[-1] == 0
+    g = got[1]
+    assert_same_bits(_blas.dgemv(-1.0, G, g, beta=1.0, y=mapped), blas.dgemv(-1.0, G, g, beta=1.0, y=mapped))
+    assert _blas.ddot(defect, mapped) == blas.ddot(defect, mapped)
+
+
+# one Cauchy trial with both estimators, run in a fresh interpreter after {first}
+_TRIAL = """
+import sys
+{first}
+from tylerlaw import PopulationTemplate, _blas, cli, harness
+cfg = harness.ExperimentConfig(population=PopulationTemplate(radial="scaled-f-root", p=1), schedule=((16, 160),),
+                               replicates=1, estimators=("covariance", "tyler"), base_seed=7)
+print(harness.run_trial(cfg, 0, 0).to_json_line())
+print("scipy.linalg" in sys.modules, _blas.openblas_thread_calls() is not None)
+"""
+
+
+def fresh_trial(first=""):
+    proc = subprocess.run([sys.executable, "-c", _TRIAL.format(first=first)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_import_and_trial_do_not_load_scipy_linalg():
+    # scipy.linalg's __init__ imports numpy's testing, f2py, ma and polynomial
+    # modules: 0.2 s and 14 MB of start-up that the package does not need
+    line, loaded = fresh_trial()
+    assert loaded.split()[0] == "False"
+    assert '"converged":true' in line
+
+
+def test_trial_bits_do_not_depend_on_an_earlier_scipy_linalg_import():
+    line, loaded = fresh_trial("import scipy.linalg")
+    assert loaded == "True True"
+    assert line == fresh_trial()[0]

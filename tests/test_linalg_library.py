@@ -9,6 +9,12 @@ The heavy routines have one path: ``tylerlaw._blas`` calls them without the
 GIL, so no other module may import scipy's f2py wrappers of them.  ``dtrsm``
 stays on the list although no module calls it: the whitening step inverts the
 Cholesky factor instead, and an f2py triangular solve must not come back.
+
+No module, ``_blas`` included, imports ``scipy.linalg`` or a submodule of it:
+``_blas`` loads the four extension modules it needs from scipy's directory
+by spec, because the package's ``__init__`` also imports numpy's testing,
+f2py, ma and polynomial modules (0.2 s and 14 MB at start-up).  The other
+modules reach scipy's library only through ``_blas``.
 """
 
 import ast
@@ -106,6 +112,52 @@ def test_kernels_reached_only_through_blas_module(path):
 )
 def test_scan_flags_f2py_kernel_imports(line, count):
     assert len(f2py_kernel_imports(line)) == count
+
+
+def scipy_linalg_imports(source: str) -> list[str]:
+    """Lines of ``source`` that import scipy.linalg or one of its submodules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.") for name in names):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_scipy_linalg(path):
+    assert scipy_linalg_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "line, count",
+    [
+        ("import scipy.linalg", 1),
+        ("import scipy.linalg as sl", 1),
+        ("import scipy.linalg._fblas", 1),
+        ("import numpy, scipy.linalg.blas", 1),
+        ("from scipy.linalg import lstsq", 1),
+        ("from scipy.linalg import cython_blas, cython_lapack", 1),
+        ("from scipy.linalg.lapack import dgelsd", 1),
+        ("from scipy import linalg", 1),
+        ("from scipy import integrate, linalg as la", 1),
+        ("import scipy.linalg\nfrom scipy.linalg.blas import ddot", 2),
+        ("import scipy", 0),
+        ("import scipy.integrate", 0),
+        ("from scipy import integrate", 0),
+        ("from scipy.linalgebra import x", 0),
+        ("from numpy.linalg import LinAlgError", 0),
+        ("from . import _blas", 0),
+        ("from ._blas import dgelsd, dgelsd_lwork", 0),
+    ],
+)
+def test_scan_flags_scipy_linalg_imports(line, count):
+    assert len(scipy_linalg_imports(line)) == count
 
 
 @pytest.mark.parametrize(
