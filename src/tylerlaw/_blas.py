@@ -4,9 +4,9 @@ Anderson step and the slope fit; scipy's OpenBLAS thread count.
 Each kernel is called through its pointer in scipy's public Cython API by a ctypes
 function, which releases the GIL (scipy's f2py wrappers hold it), with the arguments
 its f2py wrapper passes the same library, so it returns the same bits.  ddot, dgemm,
-dgemv, dgelss, dgelsd and dgelsd_lwork stay f2py: through ctypes a call costs 4-9 us more.
+dgemv, dgelss, dgelsd and dgelsd_lwork stay f2py: through ctypes a call costs 2-9 us more.
 The four extension modules are loaded by spec from scipy's linalg directory: that skips
-``scipy/linalg/__init__.py`` and the numpy submodules it imports (0.2 s and 14 MB)."""
+``scipy/linalg/__init__.py`` and the numpy submodules it imports (0.25 s, 11-13 MB)."""
 
 import ctypes
 import importlib.machinery

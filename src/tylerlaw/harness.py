@@ -277,7 +277,8 @@ def summarize_sweep(cfg: ExperimentConfig, trials: list[TrialResult]) -> SweepSu
         # the same cutoff), solved by scipy's LAPACK with scipy.linalg.lstsq's
         # calls and checks: an inf variance must raise, dgelsd would return nan
         A = np.vander(np.log([d for d, _ in var_points]), 2)
-        scale, cond = np.sqrt((A * A).sum(axis=0)), len(A) * np.finfo(float).eps
+        scale = np.sqrt((A * A).sum(axis=0))
+        cond = len(A) * np.finfo(float).eps
         work, iwork, _ = dgelsd_lwork(*A.shape, 1, cond)
         logvar = np.asarray_chkfinite(np.log([v for _, v in var_points]))
         coef, _, _, info = dgelsd(A / scale, logvar, int(work), iwork, cond, False, False)

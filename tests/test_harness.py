@@ -326,6 +326,13 @@ class TestRunSweep:
         with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError):
             summarize_sweep(cfg, trials)
 
+    def test_variance_slope_raises_when_the_svd_fails(self, monkeypatch):
+        # lstsq's LinAlgError on info > 0, which no finite input here provokes
+        monkeypatch.setattr(harness, "dgelsd", lambda *args: (np.zeros(3), None, 0, 2))
+        cfg, trials = self.cross_norm_sweep((4, 8, 16), [(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)])
+        with pytest.raises(np.linalg.LinAlgError, match="dgelsd info 2"):
+            summarize_sweep(cfg, trials)
+
     def test_variance_slope_is_scipy_lstsq_bit_for_bit(self):
         # np.polyfit's degree-1 fit, with the columns scaled to unit norm,
         # solved by scipy.linalg.lstsq: the reference for the slope
