@@ -4,6 +4,11 @@ Each wrapper promises the bits of the f2py call it replaces.  ctypes passes
 raw pointers, so a layout mistake would be a silent wrong answer: every
 wrapper is also fed C-ordered, strided, integer and read-only inputs, which
 f2py turns into Fortran-ordered float64 copies.
+
+``_blas`` loads scipy's extension modules without the ``scipy.linalg``
+package: the f2py calls it re-exports must return scipy.linalg's bits, and a
+trial in a fresh interpreter must neither load that package nor change a bit
+when it is loaded first.
 """
 
 import ctypes
@@ -208,7 +213,7 @@ def fresh_trial(first=""):
 
 def test_import_and_trial_do_not_load_scipy_linalg():
     # scipy.linalg's __init__ imports numpy's testing, f2py, ma and polynomial
-    # modules: 0.2 s and 14 MB of start-up that the package does not need
+    # modules: 0.25 s and 11-13 MB of start-up that the package does not need
     line, loaded = fresh_trial()
     assert loaded.split()[0] == "False"
     assert '"converged":true' in line

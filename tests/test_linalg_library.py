@@ -13,7 +13,7 @@ Cholesky factor instead, and an f2py triangular solve must not come back.
 No module, ``_blas`` included, imports ``scipy.linalg`` or a submodule of it:
 ``_blas`` loads the four extension modules it needs from scipy's directory
 by spec, because the package's ``__init__`` also imports numpy's testing,
-f2py, ma and polynomial modules (0.2 s and 14 MB at start-up).  The other
+f2py, ma and polynomial modules (0.25 s and 11-13 MB at start-up).  The other
 modules reach scipy's library only through ``_blas``.
 """
 
