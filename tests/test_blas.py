@@ -219,6 +219,22 @@ def test_import_and_trial_do_not_load_scipy_linalg():
     assert '"converged":true' in line
 
 
+def test_from_import_reaches_the_cython_api_after_tylerlaw():
+    # _blas registers cython_blas in sys.modules under its full name without
+    # setting it on the scipy.linalg package, so after `import tylerlaw` the
+    # attribute form `scipy.linalg.cython_blas` fails; the `from` form finds
+    # the loaded module
+    code = (
+        "import tylerlaw\n"
+        "from scipy.linalg import cython_blas, cython_lapack\n"
+        "from tylerlaw import _blas\n"
+        "print(cython_blas is _blas.cython_blas, cython_lapack is _blas.cython_lapack, 'ddot' in cython_blas.__pyx_capi__)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True"]
+
+
 def test_trial_bits_do_not_depend_on_an_earlier_scipy_linalg_import():
     line, loaded = fresh_trial("import scipy.linalg")
     assert loaded == "True True"

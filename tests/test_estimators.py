@@ -32,6 +32,19 @@ def reference_rhs(X, omega):
     return 0.5 * (G + G.T)
 
 
+def f2py_rhs(X, omega):
+    # the kernel's steps made with scipy's f2py wrappers and numpy: the bits
+    # estimators._tyler_rhs promises
+    d, n = X.shape
+    L = lapack.dtrtri(lapack.dpotrf(omega, lower=1, clean=0)[0], lower=1)[0]
+    Z = blas.dtrmm(1.0, L, X.T, side=1, lower=1, trans_a=1)
+    Y = X / np.sqrt(np.einsum("ij,ij->i", Z, Z))
+    G = blas.dsyrk(1.0, Y.T, trans=1)
+    G = G + G.T
+    G.flat[:: d + 1] *= 0.5
+    return G * (d / n)
+
+
 def cauchy_scaled_sample(seed, d, n):
     # Gaussian columns scaled by Cauchy draws, which the fit ignores
     rng = np.random.default_rng(seed)
@@ -372,6 +385,12 @@ class TestTylerKernel:
         X, omega = self.pair(d, n)
         got, want = estimators._tyler_rhs(X, omega), reference_rhs(X, omega)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d, n", [(16, 1600), (64, 6400), (100, 120)])
+    def test_matches_f2py_steps_bit_for_bit(self, d, n):
+        X, omega = self.pair(d, n)
+        got = estimators._tyler_rhs(X, omega)
+        assert got.tobytes() == f2py_rhs(X, omega).tobytes()
 
     def test_near_square_agrees_with_reference(self):
         X, omega = self.pair(100, 120)

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from scipy.special import fdtr
 
 from tylerlaw import (
     RADIAL_KINDS,
     ChiRadius,
     ConstantRadius,
     Coupling,
+    ExperimentConfig,
     PopulationSpec,
     PopulationTemplate,
     ScaledFRootRadius,
     SignedChiRadius,
     derive_seed,
+    run_trial,
     sample_covariance,
     sample_population,
     splitmix64,
@@ -81,6 +84,16 @@ class TestRadialLaws:
         r = np.linalg.norm(X, axis=0)
         assert np.all(r > 0)
         assert np.all(np.isfinite(r))
+
+    @pytest.mark.parametrize("df, p", [(5, 1), (16, 3), (64, 1)])
+    def test_scaled_f_root_follows_the_f_law(self, df, p):
+        # R^2 / df ~ F_{df,p}: the one-sample KS statistic of 20000 draws
+        # stays below the 1% critical value 1.628 / sqrt(n)
+        n = 20_000
+        x = np.sort(ScaledFRootRadius(df, p).draw(np.random.default_rng(df + p), n) ** 2 / df)
+        cdf = fdtr(df, p, x)
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert ks <= 1.628 / np.sqrt(n)
 
     def test_sign_coupling_multiplier(self):
         # radius r0 * (1 + sign(u1)/2): 3/2 on u1 > 0, 1/2 on u1 < 0
@@ -157,6 +170,33 @@ class TestSamplePopulation:
         if coupling is Coupling.SIGN_U1:
             r = r * (1.0 + 0.5 * np.sign(u[0]))
         np.testing.assert_array_equal(sample_population(spec, n), u * r)
+
+    @pytest.mark.parametrize("coupling", list(Coupling))
+    def test_tyler_fields_do_not_depend_on_the_radius(self, coupling):
+        # every radial law at one seed scales the same directions U, and
+        # Tyler's estimate depends on U alone: its fields agree to roundoff
+        # (relative 1e-12, with an absolute floor for the entries that are
+        # zero up to roundoff, such as the first moment)
+        results = []
+        for kind, law in RADIAL_KINDS.items():
+            population = PopulationTemplate(
+                kind, coupling, p=1 if "p" in law.params else None, c=-1.5 if "c" in law.params else None
+            )
+            cfg = ExperimentConfig(
+                population=population, schedule=((16, 160),), replicates=1, estimators=("tyler",),
+                base_seed=20260810, save_spectra=True,
+            )
+            trial = run_trial(cfg, 0, 0)
+            results.append((trial.results["tyler"], trial.spectra["tyler"]))
+        (want, want_spectrum), rest = results[0], results[1:]
+        assert len(rest) == len(RADIAL_KINDS) - 1 == 3
+        for got, spectrum in rest:
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            np.testing.assert_allclose(spectrum, want_spectrum, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got.residual, want.residual, rtol=1e-12, atol=1e-12)
+            got_fields, want_fields = got.summary.to_dict(), want.summary.to_dict()
+            for name, value in want_fields.items():
+                np.testing.assert_allclose(got_fields[name], value, rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_invalid_sample_size(self):
         with pytest.raises(ValueError):
