@@ -79,14 +79,15 @@ def dtrtri(c):
 
 
 def dtrmm(a, b):
-    """f2py's ``dtrmm(1.0, a, b, side=1, lower=1, trans_a=1)``: b a^t from a's lower triangle."""
-    b = np.array(b, np.float64, order="F")  # f2py's copy: the routine overwrites it
+    """f2py's ``dtrmm(1.0, a, b, side=1, lower=1, trans_a=1)`` in place: b <- b a^t from a's
+    lower triangle, b a writable Fortran-ordered float64 buffer."""
     m, n = b.shape
     a = np.asfortranarray(a, np.float64)
     if a.shape != (n, n):
         raise ValueError(f"expected a ({n}, {n}) triangle, got shape {a.shape}")
+    if not (b.dtype == np.float64 and b.flags.f_contiguous and b.flags.writeable):
+        raise ValueError("expected a writable Fortran-ordered float64 buffer")
     _dtrmm(b"R", b"L", b"T", b"N", _INT(m), _INT(n), _ONE, _at(a), _INT(n or 1), _at(b), _INT(m or 1))
-    return b
 
 
 def dsyrk(a):

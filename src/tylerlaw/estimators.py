@@ -80,8 +80,9 @@ def _rescale_columns(X: np.ndarray) -> np.ndarray:
     # the shape equation ignores column scales, and scaling a column by a
     # power of two is exact, so columns whose squares could overflow or
     # underflow are brought near 1; X is copied only then, and in-range data
-    # keeps its bits.  A zero column has no direction and is rejected
-    peak = np.max(np.abs(X), axis=0, initial=0.0)
+    # keeps its bits.  A zero column (peak |entry| 0, taken without an |X|
+    # temporary) has no direction and is rejected
+    peak = np.maximum(X.max(axis=0, initial=0.0), -X.min(axis=0, initial=0.0))
     if np.any(peak == 0):
         raise ValueError(f"zero-column: column {int(np.argmin(peak))} of the data matrix is zero")
     _, exponent = np.frexp(peak)
@@ -115,26 +116,30 @@ def _gram(Y: np.ndarray) -> np.ndarray:
     return G
 
 
-def _tyler_rhs(X: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Evaluate (d/n) * sum_j X_j X_j^t / (X_j^t omega^{-1} X_j)."""
+def _tyler_rhs(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate (d/n) * sum_j X_j X_j^t / (X_j^t omega^{-1} X_j), omega None the identity, in
+    ``work``: an (n, d) Fortran-ordered array it overwrites, fresh when None, one per fit in ``tyler``."""
     d, n = X.shape
-    # no finiteness scans: X has passed `_as_data_matrix`, and omega is an
-    # iterate `tyler` found finite or a shape `tyler_residual` has checked
-    L, info = _blas.dpotrf(omega)
-    if info != 0:
-        raise LinAlgError(f"omega is not positive definite (dpotrf info {info})")
-    L, info = _blas.dtrtri(L)
-    if info != 0:
-        raise LinAlgError(f"omega's Cholesky factor is singular (dtrtri info {info})")
-    # X_j^t omega^{-1} X_j = |L^{-1} X_j|^2 from the inverted factor and one
-    # triangular product (in scipy's OpenBLAS 2-3x faster than the solve
-    # dtrsm when n >> d), made from the right on X^t (X's memory in Fortran
-    # order, so X is not copied transposed): row j of Z is (L^{-1} X_j)^t.
-    # Z is dropped before the scaled data: one (d, n) temporary at a time
-    Z = _blas.dtrmm(L, X.T)
-    q = np.einsum("ij,ij->i", Z, Z)
-    del Z
-    return _gram(X / np.sqrt(q)) * (d / n)
+    # the workspace holds X^t, then Z = X^t L^{-t}, whose row j is
+    # (L^{-1} X_j)^t, then (X / sqrt(q))^t: the evaluation makes no (d, n) temporary
+    work = np.empty((n, d), order="F") if work is None else work
+    np.copyto(work, X.T)
+    if omega is not None:
+        # no finiteness scans: X has passed `_as_data_matrix`, and omega is an
+        # iterate `tyler` found finite or a shape `tyler_residual` has checked
+        L, info = _blas.dpotrf(omega)
+        if info != 0:
+            raise LinAlgError(f"omega is not positive definite (dpotrf info {info})")
+        L, info = _blas.dtrtri(L)
+        if info != 0:
+            raise LinAlgError(f"omega's Cholesky factor is singular (dtrtri info {info})")
+        # X_j^t omega^{-1} X_j = |L^{-1} X_j|^2 from the inverted factor and
+        # one triangular product (in scipy's OpenBLAS 2-3x faster than the
+        # solve dtrsm when n >> d), made in place from the right on X^t.  At
+        # the identity L^{-1} = I, so Z is X^t itself
+        _blas.dtrmm(L, work)
+    np.divide(X.T, np.sqrt(np.einsum("ij,ij->i", work, work))[:, None], out=work)
+    return _gram(work.T) * (d / n)
 
 
 def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
@@ -195,19 +200,20 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
             f"dimension-exceeds-sample: Tyler's estimator requires n >= d, got d={d}, n={n}"
         )
     X = _rescale_columns(X)
+    work = np.empty((n, d), order="F")  # the kernel's workspace, reused by every evaluation
 
     steps: list[float] = []
 
-    def evaluate(omega):
+    def evaluate(omega, start=False):
         # one kernel evaluation: the trace-d map value d F / tr F and the
         # residual ||F(omega) - omega||_F, or (None, inf) when omega cannot
         # be factored or F(omega) is not finite.  A non-finite omega is not
-        # evaluated and counts no step
+        # evaluated and counts no step.  The identity start needs no factor
         norm2 = _dot(omega, omega)
         if not math.isfinite(norm2):
             return None, math.inf
         try:
-            rhs = _tyler_rhs(X, omega)
+            rhs = _tyler_rhs(X, None if start else omega, work)
         except LinAlgError:
             rhs = None
         else:
@@ -230,7 +236,7 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         )
 
     omega = np.eye(d)
-    mapped, residual = evaluate(omega)
+    mapped, residual = evaluate(omega, start=True)
     defect = mapped - omega
     relative = steps[-1]
     # Anderson history of the accepted iterates: rows of differences of

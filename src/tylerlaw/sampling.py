@@ -26,8 +26,10 @@ exactly 0.0 has probability zero.  Parallel trials must use independently
 derived seeds; ``derive_seed`` mixes a base seed with trial indices through
 SplitMix64, a fixed, documented 64-bit mixing function.
 
-Chi-square draws use sums of squared standard normals for df <= 64 (exact
-construction) and a gamma sampler above that switch point (speed).
+Chi radii (``chi``, ``signed-chi``) use sums of squared standard normals for
+df <= 64 (exact construction) and a gamma sampler above that switch point
+(speed); the benchmark's recorded covariance values come from that draw.
+t radii (``scaled-f-root``) use numpy's F sampler, two gamma draws a radius.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class ChiRadius:
 
 @dataclass(frozen=True)
 class ScaledFRootRadius:
-    """R = sqrt(df * F_{df,p}) from independent chi-squares; nonnegative.
+    """R = sqrt(df * F_{df,p}), F from numpy's sampler; nonnegative.
 
     With df = d the population is the d-dimensional t with p degrees of
     freedom; p = 1 gives the multivariate Cauchy, which has no finite mean.
@@ -125,9 +127,7 @@ class ScaledFRootRadius:
         _check_positive_int(self, "p")
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        num = _chi_square(rng, self.df, m) / self.df
-        den = _chi_square(rng, self.p, m) / self.p
-        return np.sqrt(self.df * num / den)
+        return np.sqrt(self.df * rng.f(self.df, self.p, m))
 
 
 @dataclass(frozen=True)
@@ -210,18 +210,20 @@ def sample_population(spec: PopulationSpec, n: int) -> np.ndarray:
     Column j is R_j * U_j.  The PCG64 generator seeded from ``spec.seed``
     draws the (dim, n) normals whose columns over their norms are U, then the
     n radii from ``spec.radial``; the coupling multiplier comes last, so the
-    same spec and n give the same bits.
+    same spec and n give the same bits.  The normals become U and then X in
+    place, and the norms come from einsum, so the draw makes no (dim, n)
+    temporary; for n >= 2 they are ``np.linalg.norm``'s bits.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     rng = np.random.default_rng(spec.seed)
-    z = rng.standard_normal((spec.dim, n))
-    u = z / np.linalg.norm(z, axis=0)
-    del z  # freed before the radii are drawn, which keeps the peak memory down
+    u = rng.standard_normal((spec.dim, n))
+    u /= np.sqrt(np.einsum("ij,ij->j", u, u))
     r = spec.radial.draw(rng, n)
     if spec.coupling is Coupling.SIGN_U1:
         r = r * (1.0 + 0.5 * np.sign(u[0]))  # u[0]: first coordinate of each column
-    return u * r
+    u *= r
+    return u
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,13 @@ def f2py_dtrmm(a, b):
     return blas.dtrmm(1.0, a, b, side=1, lower=1, trans_a=1)
 
 
+def buffer_dtrmm(a, b):
+    # the in-place product on f2py's Fortran-ordered float64 copy of b
+    b = np.array(b, np.float64, order="F")
+    _blas.dtrmm(a, b)
+    return b
+
+
 @pytest.mark.parametrize("d, n", SHAPES, ids=lambda v: str(v))
 def test_kernel_routines_match_f2py_bit_for_bit(d, n):
     X, omega, L = kernel_inputs(d, n)
@@ -57,7 +64,7 @@ def test_kernel_routines_match_f2py_bit_for_bit(d, n):
     got, want = _blas.dtrtri(L), lapack.dtrtri(L, lower=1)
     assert_same_bits(got[0], want[0])
     assert got[1] == want[1] == 0
-    assert_same_bits(_blas.dtrmm(got[0], X.T), f2py_dtrmm(got[0], X.T))
+    assert_same_bits(buffer_dtrmm(got[0], X.T), f2py_dtrmm(got[0], X.T))
     assert_same_bits(_blas.dsyrk(X.T), blas.dsyrk(1.0, X.T, trans=1))
     assert_same_bits(_blas.dsyevd(omega)[0], f2py_dsyevd(omega)[0])
 
@@ -120,7 +127,7 @@ def test_wrappers_take_any_layout_as_f2py_does(layout):
     got, want = _blas.dtrtri(L_in), lapack.dtrtri(L_in, lower=1)
     assert_same_bits(got[0], want[0])
     assert got[1] == want[1] == 0
-    assert_same_bits(_blas.dtrmm(L_in, Xt_in), f2py_dtrmm(L_in, Xt_in))
+    assert_same_bits(buffer_dtrmm(L_in, Xt_in), f2py_dtrmm(L_in, Xt_in))
     assert_same_bits(_blas.dsyrk(Xt_in), blas.dsyrk(1.0, Xt_in, trans=1))
     assert_same_bits(_blas.dsyevd(S_in)[0], f2py_dsyevd(S_in)[0])
 
@@ -130,8 +137,8 @@ def test_empty_matrices_match_f2py():
     assert_same_bits(_blas.dpotrf(empty)[0], lapack.dpotrf(empty, lower=1, clean=0)[0])
     assert_same_bits(_blas.dsyevd(empty)[0], f2py_dsyevd(empty)[0])
     assert_same_bits(_blas.dtrtri(empty)[0], lapack.dtrtri(empty, lower=1)[0])
-    assert_same_bits(_blas.dtrmm(empty, np.zeros((5, 0))), f2py_dtrmm(empty, np.zeros((5, 0))))
-    assert_same_bits(_blas.dtrmm(np.eye(3), np.zeros((0, 3))), f2py_dtrmm(np.eye(3), np.zeros((0, 3))))
+    assert_same_bits(buffer_dtrmm(empty, np.zeros((5, 0))), f2py_dtrmm(empty, np.zeros((5, 0))))
+    assert_same_bits(buffer_dtrmm(np.eye(3), np.zeros((0, 3))), f2py_dtrmm(np.eye(3), np.zeros((0, 3))))
 
 
 @pytest.mark.parametrize(
@@ -140,13 +147,24 @@ def test_empty_matrices_match_f2py():
         (lambda: _blas.dpotrf(np.ones((2, 3))), r"square matrix, got shape \(2, 3\)"),
         (lambda: _blas.dsyevd(np.ones(3)), r"square matrix, got shape \(3,\)"),
         (lambda: _blas.dtrtri(np.ones((3, 2))), r"square matrix, got shape \(3, 2\)"),
-        (lambda: _blas.dtrmm(np.eye(3), np.ones((5, 4))), r"\(4, 4\) triangle, got shape \(3, 3\)"),
+        (lambda: _blas.dtrmm(np.eye(3), np.ones((5, 4), order="F")), r"\(4, 4\) triangle, got shape \(3, 3\)"),
     ],
     ids=["dpotrf-not-square", "dsyevd-1d", "dtrtri-not-square", "dtrmm-mismatch"],
 )
 def test_shapes_are_checked_before_the_call(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("layout", [k for k in LAYOUTS if k != "fortran"])
+def test_dtrmm_rejects_a_buffer_it_cannot_overwrite(layout):
+    # through ctypes a C-ordered, strided or integer buffer would be read as
+    # Fortran-ordered doubles: a silent wrong answer, so it is refused
+    b = layouts(np.arange(20.0).reshape(5, 4))[layout]
+    before = np.array(b)
+    with pytest.raises(ValueError, match="writable Fortran-ordered float64 buffer"):
+        _blas.dtrmm(np.eye(4), b)
+    assert_same_bits(np.asarray(b), before)
 
 
 def test_kernels_release_the_gil():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from tylerlaw import (
 TOL = 1e-9
 
 
-def reference_rhs(X, omega):
+def reference_rhs(X, omega, work=None):
     # the kernel with numpy's Gram product, symmetrized afterwards: the
-    # oracle for estimators._tyler_rhs
+    # oracle for estimators._tyler_rhs, with its signature (omega None is
+    # the identity; the reference needs no workspace)
     d, n = X.shape
+    omega = np.eye(d) if omega is None else omega
     q = np.einsum("ij,ij->j", X, cho_solve(cho_factor(omega, lower=True), X))
     Y = X / np.sqrt(q)
     G = (d / n) * (Y @ Y.T)
@@ -388,9 +391,46 @@ class TestTylerKernel:
 
     @pytest.mark.parametrize("d, n", [(16, 1600), (64, 6400), (100, 120)])
     def test_matches_f2py_steps_bit_for_bit(self, d, n):
+        # one workspace, filled with nan and reused by two evaluations: each
+        # overwrites all of it and keeps nothing of the last
         X, omega = self.pair(d, n)
-        got = estimators._tyler_rhs(X, omega)
-        assert got.tobytes() == f2py_rhs(X, omega).tobytes()
+        work = np.full((n, d), np.nan, order="F")
+        for shape in (2.0 * np.eye(d), omega):
+            got = estimators._tyler_rhs(X, shape, work)
+            assert got.tobytes() == f2py_rhs(X, shape).tobytes()
+        assert estimators._tyler_rhs(X, omega).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("scales", ["none", "moderate", "extreme"])
+    @pytest.mark.parametrize("d, n", [(3, 5), (16, 1600), (100, 120)])
+    def test_identity_start_is_the_evaluation_at_the_identity(self, d, n, scales):
+        # omega None skips the factor, its inverse and the product, which at
+        # the identity leave X^t as it is.  Columns times powers of two are
+        # exact; the extreme ones (2^-300 .. 2^300) go through the fit's
+        # own rescaling first
+        X = self.pair(d, n)[0]
+        if scales != "none":
+            top = 40 if scales == "moderate" else 300
+            X = estimators._rescale_columns(X * 2.0 ** np.random.default_rng(1).integers(-top, top + 1, n))
+        start = estimators._tyler_rhs(X, None, np.full((n, d), np.nan, order="F"))
+        full = estimators._tyler_rhs(X, np.eye(d), np.full((n, d), np.nan, order="F"))
+        assert start.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_evaluation_in_a_workspace_allocates_little(self, identity):
+        # with the fit's workspace, an evaluation at (64, 6400) allocates the
+        # factor, q and the (d, d) Gram products: under 5% of X (a (d, n)
+        # temporary would be 100%)
+        X, omega = self.pair(64, 6400)
+        omega = None if identity else omega
+        work = np.empty((6400, 64), order="F")
+        estimators._tyler_rhs(X, omega, work)  # first-call allocations of numpy
+        tracemalloc.start()
+        try:
+            estimators._tyler_rhs(X, omega, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * X.nbytes
 
     def test_near_square_agrees_with_reference(self):
         X, omega = self.pair(100, 120)
@@ -446,7 +486,9 @@ class TestTylerKernel:
             estimators._tyler_rhs(X, omega)
 
     def test_failed_inversion_ends_the_fit(self, monkeypatch):
-        self.singular_factor_after(monkeypatch, 1)  # the identity's evaluation succeeds
+        # the identity start calls no dtrtri, so the first call is the
+        # second evaluation's
+        self.singular_factor_after(monkeypatch, 0)
         with pytest.raises(NoConvergenceError, match="lost positive definiteness") as exc:
             tyler(self.pair(4, 40)[0])
         assert exc.value.report.iterations == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import fdtr
@@ -197,6 +199,22 @@ class TestSamplePopulation:
             got_fields, want_fields = got.summary.to_dict(), want.summary.to_dict()
             for name, value in want_fields.items():
                 np.testing.assert_allclose(got_fields[name], value, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("coupling", list(Coupling))
+    @pytest.mark.parametrize("d", [20, 64])
+    def test_draw_peaks_near_its_output(self, d, coupling):
+        # the normals become U and then X in place, and the t radius takes
+        # a few length-n vectors: the peak stays within 1.3x the output
+        # (a (d, n) temporary would make it 2x)
+        spec = PopulationSpec(d, ScaledFRootRadius(d, 1), coupling, seed=5)
+        sample_population(spec, 100 * d)  # first-call allocations of numpy
+        tracemalloc.start()
+        try:
+            X = sample_population(spec, 100 * d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * X.nbytes
 
     def test_invalid_sample_size(self):
         with pytest.raises(ValueError):
