@@ -200,6 +200,14 @@ class TestSamplePopulation:
             for name, value in want_fields.items():
                 np.testing.assert_allclose(got_fields[name], value, rtol=1e-12, atol=1e-12, err_msg=name)
 
+    @pytest.mark.parametrize("d, n", [(1, 2), (3, 2), (9, 8), (16, 1600), (100, 120), (200, 9)])
+    def test_directions_keep_numpy_norm_bits(self, d, n):
+        # einsum's column sums of squares, summed row after row as
+        # np.linalg.norm sums them whenever n >= 2
+        z = np.random.default_rng(d + n).standard_normal((d, n))
+        u = sample_population(PopulationSpec(d, ConstantRadius(1.0), seed=d + n), n)
+        np.testing.assert_array_equal(u, z / np.linalg.norm(z, axis=0))
+
     @pytest.mark.parametrize("coupling", list(Coupling))
     @pytest.mark.parametrize("d", [20, 64])
     def test_draw_peaks_near_its_output(self, d, coupling):
