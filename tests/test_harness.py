@@ -112,6 +112,10 @@ class TestConfig:
             ({"schedule": [[4, 40, 5]]}, "schedule"),
             ({"schedule": [[4]]}, "schedule"),
             ({"schedule": {"preset": ["mp"], "dims": [8]}}, "preset"),
+            ({"reference": {"law": "mp"}}, "requires the 'y' key"),
+            ({"reference": {"law": "semicircle", "y": 3}}, r"keys: \['y'\]"),
+            ({"population": {"radial": "chi", "p": 7}}, "does not take 'p'"),
+            ({"population": {"radial": "constant"}}, "requires 'c'"),
         ],
     )
     def test_load_time_type_checks(self, override, message):

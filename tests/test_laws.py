@@ -108,6 +108,8 @@ class TestMarchenkoPastur:
         assert np.all(np.isfinite(dens))
         assert np.all(dens == 0.0)
         assert mp.pdf(1e300) == 0.0
+        cdf = mp.cdf(x)
+        assert np.all(np.isfinite(cdf)) and np.all((cdf >= 0.0) & (cdf <= 1.0))
 
     @pytest.mark.parametrize("y", [1e-6, 0.01, 0.25, 5 / 6, 1.0, 2.0, 5.0, 1e6])
     def test_pdf_matches_single_root_form(self, y):
