@@ -1,6 +1,6 @@
 """Closed-form reference laws: semicircle and Marchenko-Pastur.
 
-Each law is one class that carries its config and CLI ``name`` and exposes
+Each law is one class that carries its config ``name`` and exposes
 ``pdf``, ``cdf``, ``support`` and ``point_mass_at_zero``.  Only the
 Marchenko-Pastur law with ratio y > 1 has a point mass (1 - 1/y at zero); it
 is never baked into the density, and ``cdf`` includes it.

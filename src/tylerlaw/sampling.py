@@ -5,7 +5,7 @@ uniform on the unit sphere of R^d and R is a scalar radius.  Unlike the
 classical spherical case, R may take negative values and may depend on U;
 the center is identically zero.
 
-Each radial law is one class that carries its config and CLI ``name``, its
+Each radial law is one class that carries its config ``name``, its
 constructor arguments in config terms (``params``: ``df`` is tied to the
 population dimension, ``p`` and ``c`` come from the template) and its own
 ``draw(rng, m)``.  ``RadialLaw`` lists the classes once and ``RADIAL_KINDS``

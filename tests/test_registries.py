@@ -2,10 +2,9 @@
 
 ``RADIAL_KINDS`` (radial laws), ``REFERENCE_LAWS`` (limit laws) and
 ``ESTIMATORS`` (scatter estimators) are each parametrized over: every entry
-must round-trip through a config, be offered by the CLI, and run.
+must round-trip through a config and run.
 """
 
-import argparse
 import dataclasses
 
 import numpy as np
@@ -23,7 +22,6 @@ from tylerlaw import (
     run_sweep,
     run_trial,
 )
-from tylerlaw.cli import build_parser
 
 # a valid value for each template parameter a radial law may take
 _TEMPLATE_VALUES = {"p": 3, "c": -1.5}
@@ -53,13 +51,6 @@ def config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
-def cli_choices(command: str, option: str) -> list:
-    parser = build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    (action,) = [a for a in sub.choices[command]._actions if option in a.option_strings]
-    return list(action.choices)
-
-
 @pytest.mark.parametrize("radial", sorted(RADIAL_KINDS))
 class TestRadialKinds:
     def test_config_round_trip(self, radial):
@@ -86,11 +77,6 @@ class TestReferenceLaws:
     def test_point_mass_matches_the_cdf_jump(self, name):
         law = reference(name)
         assert law.cdf(0.0) - law.cdf(-1e-300) == pytest.approx(law.point_mass_at_zero, abs=1e-12)
-
-
-def test_cli_choices_are_the_registry_keys():
-    assert cli_choices("sample", "--radial") == list(RADIAL_KINDS)
-    assert cli_choices("law", "--law") == list(REFERENCE_LAWS)
 
 
 @pytest.mark.parametrize("tag", sorted(ESTIMATORS))
