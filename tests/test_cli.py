@@ -179,3 +179,19 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert len((out / "trials.json").read_text().splitlines()) == 1
+
+
+def test_parser_has_trial_and_sweep_only():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert sorted(sub.choices) == ["sweep", "trial"]
+
+
+@pytest.mark.parametrize("command", ["sample", "tyler", "spectrum", "law"])
+def test_single_stage_commands_are_argparse_errors(tmp_path, capsys, command):
+    # the single stages are library calls, not subcommands
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--out", out)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
