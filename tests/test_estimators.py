@@ -460,10 +460,12 @@ class TestTylerKernel:
         got, want = estimators._tyler_rhs(X, omega), self.dtrsm_rhs(X, omega)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_rejects_omega_that_is_not_positive_definite(self):
-        X = np.random.default_rng(0).standard_normal((2, 4))
-        with pytest.raises(LinAlgError):
-            estimators._tyler_rhs(X, np.diag([1.0, -1.0]))
+    @pytest.mark.parametrize("diagonal, info", [([1.0, -1.0], 2), ([2.0, 1.0, -1.0, 3.0], 3)])
+    def test_rejects_omega_that_is_not_positive_definite(self, diagonal, info):
+        # dpotrf's info is the order of the first leading minor that is not positive
+        X = np.random.default_rng(0).standard_normal((len(diagonal), 4))
+        with pytest.raises(LinAlgError, match=rf"not positive definite \(dpotrf info {info}\)"):
+            estimators._tyler_rhs(X, np.diag(diagonal))
 
     @staticmethod
     def singular_factor_after(monkeypatch, calls):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from tylerlaw import spectral_norm, standardize, symmetric_eigenvalues, tyler_residual
 
@@ -58,6 +59,18 @@ class TestEigenvalues:
         w, want = symmetric_eigenvalues(A), np.linalg.eigvalsh(A)
         assert np.all(np.diff(w) >= 0)
         assert np.max(np.abs(w - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [64, 100, 200])
+    def test_is_scipy_dsyevd_lower_without_vectors_bit_for_bit(self, d):
+        # Q D Q^t unsymmetrized: its triangles differ by roundoff, so reading
+        # the upper one changes bits, and so do computing the eigenvectors and
+        # a work array larger than f2py's default 2d + 1
+        rng = np.random.default_rng(d)
+        Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        A = (Q * np.linspace(-2.0, 3.0, d)) @ Q.T
+        assert not np.array_equal(A, A.T)
+        want = lapack.dsyevd(A, compute_v=0, lower=1)[0]
+        assert symmetric_eigenvalues(A).tobytes() == want.tobytes()
 
 
 class TestSpectralNorm:
