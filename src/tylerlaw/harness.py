@@ -323,7 +323,8 @@ def write_results(result: SweepResult, out_dir) -> Path:
     """Persist a sweep: trials.json (JSONL), summary.json, optional spectra CSVs.
 
     Re-running with the same config overwrites atomically (temp file +
-    rename).  Returns the output directory.
+    rename), and a re-run deletes the spectra CSVs it did not write.
+    Returns the output directory.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -338,14 +339,15 @@ def write_results(result: SweepResult, out_dir) -> Path:
     }
     _atomic_write_text(out / "summary.json", json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
 
-    spectra_trials = [t for t in result.trials if t.spectra]
-    if spectra_trials:
-        eig_dir = out / "eigenvalues"
+    eig_dir = out / "eigenvalues"
+    spectra = {eig_dir / f"{t.trial_id()}_{tag}.csv": lam for t in result.trials for tag, lam in (t.spectra or {}).items()}
+    if spectra:
         eig_dir.mkdir(exist_ok=True)
-        for t in spectra_trials:
-            for tag, lam in sorted(t.spectra.items()):
-                path = eig_dir / f"{t.trial_id()}_{tag}.csv"
-                _atomic_write_text(path, "".join(f"{v:.17g}\n" for v in lam))
+    for path, lam in spectra.items():
+        _atomic_write_text(path, "".join(f"{v:.17g}\n" for v in lam))
+    # spectra of an earlier sweep into this directory would pass for this one's
+    for stale in set(eig_dir.glob("pair*_rep*_*.csv")) - spectra.keys():
+        stale.unlink()
     return out
 
 

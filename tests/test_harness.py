@@ -412,6 +412,21 @@ class TestPersistence:
             assert len(vals) == 3
             assert vals == sorted(vals)
 
+    def test_rerun_leaves_only_its_own_spectra(self, tmp_path):
+        # a smaller re-run, then one without spectra, into the same directory:
+        # no CSV of an earlier sweep may sit next to the new trials.json
+        def sweep(replicates, save_spectra):
+            cfg = ExperimentConfig(population=PopulationTemplate(radial="chi"), schedule=((3, 12),), replicates=replicates,
+                                   estimators=("tyler",), base_seed=13, save_spectra=save_spectra)
+            out = write_results(run_sweep(cfg), tmp_path / "run")
+            return sorted(p.name for p in (out / "eigenvalues").glob("*"))
+
+        (tmp_path / "run" / "eigenvalues").mkdir(parents=True)
+        (tmp_path / "run" / "eigenvalues" / "notes.txt").write_text("kept\n")
+        assert len(sweep(4, True)) == 5
+        assert sweep(2, True) == ["notes.txt", "pair000_rep000_tyler.csv", "pair000_rep001_tyler.csv"]
+        assert sweep(2, False) == ["notes.txt"]
+
     def test_atomic_overwrite(self, tmp_path):
         cfg = small_config(replicates=1)
         result = run_sweep(cfg)
