@@ -1,11 +1,15 @@
-"""dpotrf, dtrtri, dtrmm, dsyrk and dsyevd without the GIL; the f2py wrappers of the
-Anderson step and the slope fit; scipy's OpenBLAS thread count.
+"""dtrmm and dsyrk without the GIL, scipy's f2py wrappers of the other routines, and
+scipy's OpenBLAS thread count.
 
-Each kernel is called through its pointer in scipy's public Cython API by a ctypes
-function, which releases the GIL (scipy's f2py wrappers hold it), with the arguments
-its f2py wrapper passes the same library, so it returns the same bits.  ddot, dgemm,
-dgemv, dgelss, dgelsd and dgelsd_lwork stay f2py: through ctypes a call costs 2-9 us more.
-The four extension modules are loaded by spec from scipy's linalg directory: that skips
+ctypes for a routine whose cost grows with n, f2py for everything else.  dtrmm and dsyrk
+cost O(d^2 n), long enough that a held GIL would serialize parallel trials: each is called
+through its pointer in scipy's public Cython API by a ctypes function, which releases the
+GIL, with the arguments its f2py wrapper passes the same library, so it returns the same
+bits.  dpotrf, dtrtri, dsyevd and the Anderson step's and slope fit's calls work on (d, d)
+or smaller arrays.  On 2 vCPUs f2py was 1.5-22 us per call faster for dpotrf, dtrtri and
+dsyevd at d = 16-100, and two threads ran a ctypes dsyevd 0.95-0.98x as fast as one at
+400 x 400, a ctypes dsyrk 1.34-1.77x.
+The three extension modules are loaded by spec from scipy's linalg directory: that skips
 ``scipy/linalg/__init__.py`` and the numpy submodules it imports (0.25 s, 11-13 MB)."""
 
 import ctypes
@@ -24,9 +28,10 @@ def _linalg_extension(name):
     return module
 
 
-cython_blas, cython_lapack, _fblas, _flapack = map(_linalg_extension, ("cython_blas", "cython_lapack", "_fblas", "_flapack"))
+cython_blas, _fblas, _flapack = map(_linalg_extension, ("cython_blas", "_fblas", "_flapack"))
 ddot, dgemm, dgemv, dgelss = _fblas.ddot, _fblas.dgemm, _fblas.dgemv, _flapack.dgelss
 dgelsd, dgelsd_lwork = _flapack.dgelsd, _flapack.dgelsd_lwork
+dpotrf, dtrtri, dsyevd = _flapack.dpotrf, _flapack.dtrtri, _flapack.dsyevd
 
 _name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
 _pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))
@@ -36,13 +41,13 @@ _ARGTYPES = {"char": ctypes.c_char_p, "int": ctypes.POINTER(ctypes.c_int), "d": 
 
 def _bind(name):
     # a capsule's name is its C signature, such as "void (char *, int *, __pyx_t_..._d *, int *, int *)"
-    capsule = cython_blas.__pyx_capi__.get(name) or cython_lapack.__pyx_capi__[name]
+    capsule = cython_blas.__pyx_capi__[name]
     args = _name(capsule).decode().partition("(")[2].rstrip(")").split(", ")
     argtypes = [_ARGTYPES[arg.split()[0].rpartition("_")[2]] for arg in args]
     return ctypes.CFUNCTYPE(None, *argtypes)(_pointer(capsule, _name(capsule)))
 
 
-_dpotrf, _dtrtri, _dtrmm, _dsyrk, _dsyevd = map(_bind, ("dpotrf", "dtrtri", "dtrmm", "dsyrk", "dsyevd"))
+_dtrmm, _dsyrk = map(_bind, ("dtrmm", "dsyrk"))
 _INT, _ONE, _ZERO = ctypes.c_int, ctypes.c_double(1.0), ctypes.c_double(0.0)
 
 
@@ -53,29 +58,6 @@ def _at(a):
         return ctypes.c_double.from_buffer(a.T)
     except (TypeError, ValueError):
         return a.ctypes.data_as(_ARGTYPES["d"])
-
-
-def _square_copy(a):
-    # f2py's Fortran-ordered float64 copy of a matrix the routine overwrites,
-    # its order, and its leading dimension, which LAPACK needs >= 1
-    a = np.array(a, np.float64, order="F")
-    if a.shape != (len(a), len(a)):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a, _INT(len(a)), _INT(len(a) or 1)
-
-
-def dpotrf(a):
-    """f2py's ``dpotrf(a, lower=1, clean=0)``: a's lower Cholesky factor (above it, a's entries) and info."""
-    (c, n, ld), info = _square_copy(a), _INT()
-    _dpotrf(b"L", n, _at(c), ld, info)
-    return c, info.value
-
-
-def dtrtri(c):
-    """f2py's ``dtrtri(c, lower=1)``: the inverse of c's lower triangle (above it, c's entries) and info."""
-    (c, n, ld), info = _square_copy(c), _INT()
-    _dtrtri(b"L", b"N", n, _at(c), ld, info)
-    return c, info.value
 
 
 def dtrmm(a, b):
@@ -97,15 +79,6 @@ def dsyrk(a):
     c = np.zeros((n, n), order="F")
     _dsyrk(b"U", b"T", _INT(n), _INT(k), _ONE, _at(a), _INT(k or 1), _ZERO, _at(c), _INT(n or 1))
     return c
-
-
-def dsyevd(a):
-    """f2py's ``dsyevd(a, compute_v=0, lower=1)``: (ascending eigenvalues of a's lower
-    triangle, info), with f2py's work size 2n + 1: a larger one changes the bits."""
-    (a, n, ld), info = _square_copy(a), _INT()
-    w, work = np.empty(len(a)), np.empty(2 * len(a) + 1)
-    _dsyevd(b"N", b"L", n, _at(a), ld, _at(w), _at(work), _INT(len(work)), _INT(), _INT(1), info)
-    return w, info.value
 
 
 def openblas_thread_calls():

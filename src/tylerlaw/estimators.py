@@ -127,10 +127,10 @@ def _tyler_rhs(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray | None 
     if omega is not None:
         # no finiteness scans: X has passed `_as_data_matrix`, and omega is an
         # iterate `tyler` found finite or a shape `tyler_residual` has checked
-        L, info = _blas.dpotrf(omega)
+        L, info = _blas.dpotrf(omega, lower=1, clean=0)
         if info != 0:
             raise LinAlgError(f"omega is not positive definite (dpotrf info {info})")
-        L, info = _blas.dtrtri(L)
+        L, info = _blas.dtrtri(L, lower=1)
         if info != 0:
             raise LinAlgError(f"omega's Cholesky factor is singular (dtrtri info {info})")
         # X_j^t omega^{-1} X_j = |L^{-1} X_j|^2 from the inverted factor and

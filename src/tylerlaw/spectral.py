@@ -40,7 +40,7 @@ def symmetric_eigenvalues(A) -> np.ndarray:
     non-finite or non-symmetric matrix and LinAlgError when the solver fails
     to converge.
     """
-    w, info = _blas.dsyevd(_as_symmetric(A))
+    w, _, info = _blas.dsyevd(_as_symmetric(A), compute_v=0, lower=1)
     if info != 0:
         raise LinAlgError(f"dsyevd failed to converge (info {info})")
     return w

@@ -473,11 +473,11 @@ class TestTylerKernel:
         # diagonal entry and reports it, as it would for a singular factor
         real, count = estimators._blas.dtrtri, itertools.count(1)
 
-        def dtrtri(c):
+        def dtrtri(c, **kwargs):
             if next(count) > calls:
                 c = np.array(c)
                 c[-1, -1] = 0.0
-            return real(c)
+            return real(c, **kwargs)
 
         monkeypatch.setattr(estimators._blas, "dtrtri", dtrtri)
 

@@ -72,6 +72,24 @@ class TestEigenvalues:
         want = lapack.dsyevd(A, compute_v=0, lower=1)[0]
         assert symmetric_eigenvalues(A).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("layout", ["c", "strided", "readonly", "fortran"])
+    def test_reads_any_layout_as_its_lower_triangle_and_leaves_it(self, layout):
+        # a C-ordered array read as Fortran-ordered would give the upper
+        # triangle's bits; a solver that overwrites its input would destroy it
+        Q = np.linalg.qr(np.random.default_rng(7).standard_normal((64, 64)))[0]
+        A = (Q * np.linspace(-2.0, 3.0, 64)) @ Q.T
+        strided = np.zeros((128, 192))
+        strided[::2, ::3] = A
+        given = {"c": A, "strided": strided[::2, ::3], "readonly": np.asfortranarray(A), "fortran": np.asfortranarray(A)}[layout]
+        given.flags.writeable = layout != "readonly"
+        want = lapack.dsyevd(np.asfortranarray(A), compute_v=0, lower=1)[0]
+        assert symmetric_eigenvalues(given).tobytes() == want.tobytes()
+        assert given.tobytes() == A.tobytes()
+
+    def test_empty_matrix_has_no_eigenvalues(self):
+        w = symmetric_eigenvalues(np.zeros((0, 0)))
+        assert w.shape == (0,) and w.dtype == np.float64
+
 
 class TestSpectralNorm:
     def test_examples(self):
