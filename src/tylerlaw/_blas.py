@@ -6,11 +6,11 @@ cost O(d^2 n), long enough that a held GIL would serialize parallel trials: each
 through its pointer in scipy's public Cython API by a ctypes function, which releases the
 GIL, with the arguments its f2py wrapper passes the same library, so it returns the same
 bits.  dpotrf, dtrtri, dsyevd and the Anderson step's and slope fit's calls work on (d, d)
-or smaller arrays.  On 2 vCPUs f2py was 1.5-22 us per call faster for dpotrf, dtrtri and
-dsyevd at d = 16-100, and two threads ran a ctypes dsyevd 0.95-0.98x as fast as one at
-400 x 400, a ctypes dsyrk 1.34-1.77x.
-The three extension modules are loaded by spec from scipy's linalg directory: that skips
-``scipy/linalg/__init__.py`` and the numpy submodules it imports (0.25 s, 11-13 MB)."""
+or smaller arrays, where f2py costs less per call (1.2-25 us less for the first three at
+d = 16-100 on 2 vCPUs); near n = d they hold the GIL for much of a parallel trial (README,
+"Performance").  The three extension modules are loaded by spec from scipy's linalg
+directory: that skips ``scipy/linalg/__init__.py`` and the numpy submodules it imports
+(0.25 s, 11-13 MB)."""
 
 import ctypes
 import importlib.machinery

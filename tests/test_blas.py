@@ -1,15 +1,15 @@
 """The ctypes wrappers of ``tylerlaw._blas`` against scipy's f2py wrappers.
 
 Only the two kernels whose cost grows with n, ``dtrmm`` and ``dsyrk``, run
-through ctypes, so that parallel trials run them without the GIL; dpotrf,
-dtrtri and dsyevd work on (d, d) matrices, where f2py was 1.5-22 us per call
-faster on 2 vCPUs and a ctypes dsyevd gained nothing from a second thread, so
-they are scipy's f2py wrappers, guarded at their call sites in
-``test_estimators`` and ``test_spectral``.  Each ctypes wrapper promises the
-bits of the f2py call it replaces.  ctypes passes raw pointers, so a layout
-mistake would be a silent wrong answer: each is also fed C-ordered, strided,
-integer and read-only inputs, which f2py turns into Fortran-ordered float64
-copies.
+through ctypes, so that parallel trials run them without the GIL.  dpotrf,
+dtrtri and dsyevd work on (d, d) matrices, where f2py was 1.2-25 us per call
+faster on 2 vCPUs at d = 16-100, so they are scipy's f2py wrappers, guarded at
+their call sites in ``test_estimators`` and ``test_spectral``; the README's
+"Performance" section has what that costs parallel trials.  Each ctypes
+wrapper promises the bits of the f2py call it replaces.  ctypes passes raw
+pointers, so a layout mistake would be a silent wrong answer: each is also
+fed C-ordered, strided, integer and read-only inputs, which f2py turns into
+Fortran-ordered float64 copies.
 
 ``_blas`` loads scipy's extension modules without the ``scipy.linalg``
 package: the f2py calls it re-exports must return scipy.linalg's bits, and a
@@ -58,7 +58,7 @@ def buffer_dtrmm(a, b):
 
 @pytest.mark.parametrize("d, n", SHAPES, ids=lambda v: str(v))
 def test_kernel_routines_match_f2py_bit_for_bit(d, n):
-    X, omega, L = kernel_inputs(d, n)
+    X, _, L = kernel_inputs(d, n)
     Linv = lapack.dtrtri(L, lower=1)[0]
     assert_same_bits(buffer_dtrmm(Linv, X.T), f2py_dtrmm(Linv, X.T))
     assert_same_bits(_blas.dsyrk(X.T), blas.dsyrk(1.0, X.T, trans=1))
@@ -114,17 +114,13 @@ def test_dtrmm_rejects_a_buffer_it_cannot_overwrite(layout):
     assert_same_bits(np.asarray(b), before)
 
 
-def test_only_the_kernels_whose_cost_grows_with_n_run_through_ctypes():
-    bound = {name for name, v in vars(_blas).items() if isinstance(v, ctypes._CFuncPtr) and name not in ("_name", "_pointer")}
-    assert bound == {"_dtrmm", "_dsyrk"}
+def test_kernels_release_the_gil():
+    # a ctypes function made with PYFUNCTYPE (FUNCFLAG_PYTHONAPI) keeps the GIL;
+    # the two kernels whose cost grows with n are the only ones that release it
+    gil_free = {k for k, v in vars(_blas).items() if isinstance(v, ctypes._CFuncPtr) and not v._flags_ & ctypes._FUNCFLAG_PYTHONAPI}
+    assert gil_free == {"_dtrmm", "_dsyrk"}
     for name in ("dpotrf", "dtrtri", "dsyevd"):
         assert getattr(_blas, name) is getattr(_blas._flapack, name)
-
-
-def test_kernels_release_the_gil():
-    # a ctypes function made with PYFUNCTYPE (FUNCFLAG_PYTHONAPI) keeps the GIL
-    for fn in (_blas._dtrmm, _blas._dsyrk):
-        assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
 def test_concurrent_kernels_match_serial_bit_for_bit():

@@ -460,7 +460,7 @@ class TestTylerKernel:
         got, want = estimators._tyler_rhs(X, omega), self.dtrsm_rhs(X, omega)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("diagonal, info", [([1.0, -1.0], 2), ([2.0, 1.0, -1.0, 3.0], 3)])
+    @pytest.mark.parametrize("diagonal, info", [([1.0, -1.0], 2), ([2.0, 1.0, -1.0, 3.0], 3)], ids=["info-2", "info-3"])
     def test_rejects_omega_that_is_not_positive_definite(self, diagonal, info):
         # dpotrf's info is the order of the first leading minor that is not positive
         X = np.random.default_rng(0).standard_normal((len(diagonal), 4))

@@ -5,13 +5,17 @@ that calls both wakes two pools that compete for the cores.  This scans the
 source for the numpy entry points into its BLAS and LAPACK.  Axis-wise
 ``np.linalg.norm`` stays allowed: it reduces elementwise and calls no BLAS.
 
-The heavy routines have one path: ``tylerlaw._blas`` calls them without the
-GIL, so no other module may import scipy's f2py wrappers of them.  ``dtrsm``
-stays on the list although no module calls it: the whitening step inverts the
-Cholesky factor instead, and an f2py triangular solve must not come back.
+The kernel routines have one path, ``tylerlaw._blas``, so no other module may
+import scipy's f2py wrappers of them.  ``_blas`` calls through ctypes, without
+the GIL, only the two whose cost grows with n, ``dtrmm`` and ``dsyrk``; it
+re-exports the f2py wrappers of the (d, d) ones, ``dpotrf``, ``dtrtri`` and
+``dsyevd``, which were 1.2-25 us per call faster than ctypes wrappers at
+d = 16-100 on 2 vCPUs.  ``dtrsm`` stays on the list
+although no module calls it: the whitening step inverts the Cholesky factor
+instead, and an f2py triangular solve must not come back.
 
 No module, ``_blas`` included, imports ``scipy.linalg`` or a submodule of it:
-``_blas`` loads the four extension modules it needs from scipy's directory
+``_blas`` loads the three extension modules it needs from scipy's directory
 by spec, because the package's ``__init__`` also imports numpy's testing,
 f2py, ma and polynomial modules (0.25 s and 11-13 MB at start-up).  The other
 modules reach scipy's library only through ``_blas``.
