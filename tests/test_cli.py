@@ -2,11 +2,11 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from tylerlaw import _blas, cli
 from tylerlaw.cli import main
+from tylerlaw.harness import TrialResult
 
 
 def run_cli(*args):
@@ -153,11 +153,19 @@ class TestTrialAndSweep:
         assert not out.exists()
 
     def test_slope_fit_failure_is_numerical(self, tmp_path, monkeypatch, capsys):
-        # numpy's LinAlgError subclasses ValueError, the config-error class;
-        # the variance-slope fit is where a sweep raises one
-        monkeypatch.setattr("tylerlaw.harness.dgelsd", lambda *args: (np.zeros(2), None, 0, 2))
+        # the cross norms (0, 1e300) of the first pair have a variance that
+        # overflows to inf: the slope fit fails numerically, not as a config error
+        crosses = [(0.0, 1e300), (0.0, 1.0), (0.0, 2.0)]
+
+        def fake_trial(cfg, i, r):
+            d, n = cfg.schedule[i]
+            return TrialResult(pair_index=i, replicate=r, d=d, n=n, seed=0, results={}, cross_norm=crosses[i][r])
+
+        monkeypatch.setattr("tylerlaw.harness.run_trial", fake_trial)
+        cfg = write_config(tmp_path, schedule=[[4, 40], [8, 80], [16, 160]])
         out = tmp_path / "r"
-        assert run_cli("sweep", "--config", write_config(tmp_path), "--out", out) == 3
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run_cli("sweep", "--config", cfg, "--out", out) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 

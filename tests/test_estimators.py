@@ -227,6 +227,13 @@ class TestTyler:
         with pytest.raises(ValueError, match="dimension-exceeds-sample"):
             tyler(np.ones((3, 2)))
 
+    def test_square_sample_rejected(self):
+        # at n = d > 1 every X D X^t with D positive diagonal solves the shape
+        # equation: the line of each column holds n/d = 1 of the points, which
+        # Tyler's existence condition forbids
+        with pytest.raises(ValueError, match="dimension-exceeds-sample: .*requires n > d"):
+            tyler(np.random.default_rng(5).standard_normal((5, 5)))
+
     def test_rejects_zero_column(self):
         X = np.eye(3)
         X[:, 1] = 0.0

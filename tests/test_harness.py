@@ -59,6 +59,12 @@ class TestConfig:
         assert cfg.estimators == ("tyler",)
         assert cfg.reference == Semicircle()
 
+    def test_square_tyler_pair_rejected(self):
+        with pytest.raises(ValueError, match=r"\(4, 4\).*requires n > d"):
+            small_config(schedule=((4, 4),))
+        small_config(schedule=((4, 4),), estimators=("covariance",))
+        small_config(schedule=((1, 1),))  # d = 1 has no proper subspace
+
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="n < d"):
             small_config(schedule=((8, 4),))
@@ -325,9 +331,9 @@ class TestRunSweep:
 
     def test_variance_slope_rejects_an_overflowed_variance(self):
         # the variance of (0, 1e300) overflows to inf: the fit must fail loudly,
-        # as scipy's lstsq does on a non-finite input, not report a NaN slope
+        # as a numerical failure, not report a NaN slope
         cfg, trials = self.cross_norm_sweep((4, 8, 16), [(0.0, 1e300), (0.0, 1.0), (0.0, 2.0)])
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError):
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(OverflowError, match="variance-overflow"):
             summarize_sweep(cfg, trials)
 
     def test_variance_slope_raises_when_the_svd_fails(self, monkeypatch):
