@@ -30,7 +30,6 @@ def _linalg_extension(name):
 
 cython_blas, _fblas, _flapack = map(_linalg_extension, ("cython_blas", "_fblas", "_flapack"))
 ddot, dgemm, dgemv, dgelss = _fblas.ddot, _fblas.dgemm, _fblas.dgemv, _flapack.dgelss
-dgelsd, dgelsd_lwork = _flapack.dgelsd, _flapack.dgelsd_lwork
 dpotrf, dtrtri, dsyevd = _flapack.dpotrf, _flapack.dtrtri, _flapack.dsyevd
 
 _name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))

@@ -195,10 +195,8 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if n < d:
-        raise ValueError(
-            f"dimension-exceeds-sample: Tyler's estimator requires n >= d, got d={d}, n={n}"
-        )
+    if n < d or n == d > 1:  # at n = d > 1 every X D X^t, D > 0 diagonal, solves the equation
+        raise ValueError(f"dimension-exceeds-sample: Tyler's estimator requires n > d, got d={d}, n={n}")
     X = _rescale_columns(X)
     work = np.empty((n, d), order="F")  # the kernel's workspace, reused by every evaluation
 

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
-from ._blas import dgelsd, dgelsd_lwork, one_blas_thread
+from ._blas import one_blas_thread
 from .codec import SCHEMA_VERSION, Record, check_keys, decode
 from .estimators import sample_covariance, tyler
 from .laws import ReferenceLaw, Semicircle, law_from_dict, law_to_dict
@@ -106,10 +105,8 @@ class ExperimentConfig(Record):
         for d, n in self.schedule:
             if d < 1 or n < 1:
                 raise ValueError(f"schedule pair ({d}, {n}) must be positive")
-            if "tyler" in self.estimators and n < d:
-                raise ValueError(
-                    f"schedule pair ({d}, {n}) has n < d; Tyler's estimator requires n >= d"
-                )
+            if "tyler" in self.estimators and (n < d or n == d > 1):
+                raise ValueError(f"schedule pair ({d}, {n}) has n {'<' if n < d else '='} d; Tyler's estimator requires n > d")
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -273,18 +270,12 @@ def summarize_sweep(cfg: ExperimentConfig, trials: list[TrialResult]) -> SweepSu
 
     slope = None
     if len({d for d, _ in var_points}) >= 2:
-        # np.polyfit's degree-1 fit (Vandermonde columns scaled to unit norm,
-        # the same cutoff), solved by scipy's LAPACK with scipy.linalg.lstsq's
-        # calls and checks: an inf variance must raise, dgelsd would return nan
-        A = np.vander(np.log([d for d, _ in var_points]), 2)
-        scale = np.sqrt((A * A).sum(axis=0))
-        cond = len(A) * np.finfo(float).eps
-        work, iwork, _ = dgelsd_lwork(*A.shape, 1, cond)
-        logvar = np.asarray_chkfinite(np.log([v for _, v in var_points]))
-        coef, _, _, info = dgelsd(A / scale, logvar, int(work), iwork, cond, False, False)
-        if info != 0:
-            raise LinAlgError(f"SVD did not converge in the variance slope fit (dgelsd info {info})")
-        slope = float(coef[0] / scale[0])
+        # the least-squares slope of log var against log d, elementwise
+        x, y = np.log(var_points).T
+        if not np.all(np.isfinite(y)):
+            raise OverflowError(f"variance-overflow: cross-norm variances {[v for _, v in var_points]} not all finite")
+        x -= x.mean()
+        slope = float((x * (y - y.mean())).sum() / (x * x).sum())
 
     failed = sum(1 for t in trials if t.failed)
     return SweepSummary(pairs=pairs, total_trials=len(trials), total_failed=failed, variance_slope=slope)

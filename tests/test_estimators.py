@@ -106,8 +106,11 @@ class TestTyler:
         assert rep.converged
 
     def test_scaled_identity_fixed_point(self):
-        rep = tyler(scaled_identity_data(5))
-        np.testing.assert_allclose(rep.estimate, np.eye(5), atol=1e-12)
+        # three unit vectors 120 degrees apart, scaled by 3, form a tight
+        # frame: (2/3) * sum_j u_j u_j^t = I, so the fit starts at its fixed point
+        angles = 2 * np.pi * np.arange(3) / 3
+        rep = tyler(3 * np.array([np.cos(angles), np.sin(angles)]))
+        np.testing.assert_allclose(rep.estimate, np.eye(2), atol=1e-12)
         assert rep.iterations == 1
 
     def test_cauchy_sample(self):
