@@ -5,8 +5,8 @@ ctypes for a routine whose cost grows with n, f2py for everything else.  dtrmm a
 cost O(d^2 n), long enough that a held GIL would serialize parallel trials: each is called
 through its pointer in scipy's public Cython API by a ctypes function, which releases the
 GIL, with the arguments its f2py wrapper passes the same library, so it returns the same
-bits.  dpotrf, dtrtri, dsyevd and the Anderson step's and slope fit's calls work on (d, d)
-or smaller arrays, where f2py costs less per call (1.2-25 us less for the first three at
+bits.  dpotrf, dtrtri, dsyevd and the Anderson step's calls work on (d, d) or smaller
+arrays, where f2py costs less per call (1.2-25 us less for the first three at
 d = 16-100 on 2 vCPUs); near n = d they hold the GIL for much of a parallel trial (README,
 "Performance").  The three extension modules are loaded by spec from scipy's linalg
 directory: that skips ``scipy/linalg/__init__.py`` and the numpy submodules it imports

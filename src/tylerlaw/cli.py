@@ -9,8 +9,8 @@ The single stages (sampling, Tyler's fit, spectra, reference laws) are
 library calls, as the README's "Library quick start" shows.
 
 Exit codes: 0 success; 2 config or argument error; 3 numerical failure
-(``trial``'s trial failed, every trial of a ``sweep`` failed, or the
-variance-slope fit failed); 4 I/O error.
+(``trial``'s trial failed, every trial of a ``sweep`` failed, or a
+cross-norm variance overflowed before the slope fit); 4 I/O error.
 """
 
 from __future__ import annotations

@@ -166,7 +166,7 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     Parameters
     ----------
     X : array_like
-        Data matrix of shape (d, n) with n >= d and no zero column.
+        Data matrix of shape (d, n) with n > d (or n = d = 1) and no zero column.
     tol : float
         Relative Frobenius residual tolerance (finite, > 0).
     max_iter : int
@@ -180,7 +180,7 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     Raises
     ------
     ValueError
-        If n < d ("dimension-exceeds-sample"), some column is zero
+        If n < d or n = d > 1 ("dimension-exceeds-sample"), some column is zero
         ("zero-column"), an entry is nan or inf ("non-finite-entry"), or
         ``tol`` or ``max_iter`` is out of range.
     NoConvergenceError

@@ -19,6 +19,11 @@ No module, ``_blas`` included, imports ``scipy.linalg`` or a submodule of it:
 by spec, because the package's ``__init__`` also imports numpy's testing,
 f2py, ma and polynomial modules (0.25 s and 11-13 MB at start-up).  The other
 modules reach scipy's library only through ``_blas``.
+
+``dgelss``, the Anderson step's, is the package's one least-squares routine:
+the summary's variance slope is a straight line through a handful of points,
+fitted in closed form with elementwise sums, and no module names another
+least-squares driver.
 """
 
 import ast
@@ -34,6 +39,7 @@ _LINALG_ALLOWED = {"LinAlgError", "norm"}
 _BANNED_IMPORTS = {f"numpy.{name}" for name in _NUMPY_BLAS | {"linalg"}}
 _KERNELS = {"dpotrf", "dtrtri", "dtrmm", "dtrsm", "dsyrk", "dsyevd"}  # through tylerlaw._blas only
 _F2PY_MODULES = {"scipy.linalg.blas", "scipy.linalg.lapack"}
+_OTHER_LEAST_SQUARES = {"dgels", "dgelsd", "dgelsd_lwork", "dgelss_lwork", "dgelsy", "dgelsy_lwork", "lstsq"}
 
 
 def _np_attribute(node, *path):
@@ -198,3 +204,34 @@ def test_scan_flags_numpy_linalg(line):
 )
 def test_scan_allows_axis_wise_norm_and_scipy(line):
     assert numpy_linalg_calls(line) == []
+
+
+def least_squares_names(source: str) -> set[str]:
+    """The least-squares drivers other than ``dgelss`` that ``source`` names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names & _OTHER_LEAST_SQUARES
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_dgelss_is_the_one_least_squares_routine(path):
+    assert least_squares_names(path.read_text()) == set()
+
+
+@pytest.mark.parametrize(
+    "line, found",
+    [
+        ("from ._blas import dgelsd, dgelsd_lwork", {"dgelsd", "dgelsd_lwork"}),
+        ("coef = _flapack.dgelsd(A, b)", {"dgelsd"}),
+        ("coef = lstsq(A, b)", {"lstsq"}),
+        ("_, g, _, _, _, info = dgelss(gram, rhs, cond=1e-12)", set()),
+    ],
+)
+def test_scan_flags_other_least_squares_drivers(line, found):
+    assert least_squares_names(line) == found
