@@ -270,7 +270,8 @@ def summarize_sweep(cfg: ExperimentConfig, trials: list[TrialResult]) -> SweepSu
 
     slope = None
     if len({d for d, _ in var_points}) >= 2:
-        # the least-squares slope of log var against log d, elementwise
+        # the least-squares slope of log var on log d in closed form: a line through
+        # a handful of points needs no LAPACK call
         x, y = np.log(var_points).T
         if not np.all(np.isfinite(y)):
             raise OverflowError(f"variance-overflow: cross-norm variances {[v for _, v in var_points]} not all finite")
