@@ -25,6 +25,19 @@ _COND_LIMIT = 1e14
 _EXPONENT_LIMIT = 256
 # Anderson acceleration combines the last this many steps (Walker & Ni 2011).
 _ANDERSON_DEPTH = 5
+# Below this many observations per dimension the fit takes Newton steps on the
+# log-weights and the kernel whitens by a triangular solve; from it on, Anderson
+# steps and the inverted factor (README, "Performance": the crossover table).
+_NEWTON_RATIO = 2
+# Armijo's sufficient-decrease fraction, and the step length below which a
+# Newton line search gives way to the plain map step.
+_ARMIJO = 1e-4
+_MIN_STEP = 1 / 32
+# The most a Newton step moves any log-weight.  Unscaled, the first step at
+# n = d + 1 moved some by hundreds, onto a numerically singular iterate whose
+# f read a spurious decrease.  On small near-square samples 2 took the fewest
+# evaluations of 0.5-4, and 4 let some fits fail.
+_MAX_STEP = 2.0
 
 
 class NoConvergenceError(RuntimeError):
@@ -45,7 +58,8 @@ class TylerReport:
         Symmetric (d, d) scatter estimate with trace d (also on failure).
     iterations : int
         Number of evaluations of the fixed-point map, including those of
-        rejected extrapolations and of the plain steps that replace them.
+        rejected extrapolations and of the plain steps that replace them,
+        and every trial point of a Newton line search, rejected or not.
     residual : float
         Frobenius norm of the fixed-point defect ||F(T) - T||_F of the
         returned estimate, from the map evaluation the iteration made on it;
@@ -116,52 +130,71 @@ def _gram(Y: np.ndarray) -> np.ndarray:
     return G
 
 
-def _tyler_rhs(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray | None = None) -> np.ndarray:
+def _tyler_rhs(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray | None = None,
+               whitened: np.ndarray | None = None):
     """Evaluate (d/n) * sum_j X_j X_j^t / (X_j^t omega^{-1} X_j), omega None the identity, in
-    ``work``: an (n, d) Fortran-ordered array it overwrites, fresh when None, one per fit in ``tyler``."""
+    ``work``: an (n, d) Fortran-ordered array it overwrites, fresh when None, one per fit in ``tyler``.
+    With ``whitened``, a second such array, the whitened data X^t L^{-t} (L omega's Cholesky factor)
+    is made and left there, and the result is the pair (value, log det omega)."""
     d, n = X.shape
     # the workspace holds X^t, then Z = X^t L^{-t}, whose row j is
     # (L^{-1} X_j)^t, then (X / sqrt(q))^t: the evaluation makes no (d, n) temporary
     work = np.empty((n, d), order="F") if work is None else work
-    np.copyto(work, X.T)
+    Z = work if whitened is None else whitened
+    np.copyto(Z, X.T)
+    logdet = 0.0
     if omega is not None:
         # no finiteness scans: X has passed `_as_data_matrix`, and omega is an
         # iterate `tyler` found finite or a shape `tyler_residual` has checked
         L, info = _blas.dpotrf(omega, lower=1, clean=0)
         if info != 0:
             raise LinAlgError(f"omega is not positive definite (dpotrf info {info})")
-        L, info = _blas.dtrtri(L, lower=1)
-        if info != 0:
-            raise LinAlgError(f"omega's Cholesky factor is singular (dtrtri info {info})")
-        # X_j^t omega^{-1} X_j = |L^{-1} X_j|^2 from the inverted factor and
-        # one triangular product (in scipy's OpenBLAS 2-3x faster than the
-        # solve dtrsm when n >> d), made in place from the right on X^t.  At
-        # the identity L^{-1} = I, so Z is X^t itself
-        _blas.dtrmm(L, work)
-    np.divide(X.T, np.sqrt(np.einsum("ij,ij->i", work, work))[:, None], out=work)
-    return _gram(work.T) * (d / n)
+        if whitened is not None:
+            logdet = 2.0 * float(np.log(np.diagonal(L)).sum())
+        # X_j^t omega^{-1} X_j = |L^{-1} X_j|^2, made in place from the right
+        # on X^t.  Near n = d by one triangular solve, which costs less than
+        # the inverse and a product (91 us against 138 us at (100, 120) on 2
+        # vCPUs); from n = 2d on by the inverted factor and one triangular
+        # product (in scipy's OpenBLAS 2-3x faster than the solve when
+        # n >> d).  At the identity L^{-1} = I, so Z is X^t itself
+        if n < _NEWTON_RATIO * d:
+            _blas.dtrsm(L, Z)
+        else:
+            L, info = _blas.dtrtri(L, lower=1)
+            if info != 0:
+                raise LinAlgError(f"omega's Cholesky factor is singular (dtrtri info {info})")
+            _blas.dtrmm(L, Z)
+    np.divide(X.T, np.sqrt(np.einsum("ij,ij->i", Z, Z))[:, None], out=work)
+    value = _gram(work.T) * (d / n)
+    return value if whitened is None else (value, logdet)
 
 
 def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     """Tyler's M-estimator for scatter, normalized to trace d.
 
-    Runs the fixed-point iteration for the shape equation
+    Solves the shape equation
 
         T = (d/n) * sum_j X_j X_j^t / (X_j^t T^{-1} X_j),
 
-    starting from the identity, for the map T -> d F(T) / tr F(T), where F
-    is the right-hand side (the equation determines T only up to a scalar
-    multiple, so every iterate has trace d).  The map is accelerated with
-    type-II Anderson mixing of the last five steps, safeguarded: an
+    which determines T only up to a scalar multiple, so every iterate has
+    trace d.  The fit starts at the identity.  For n >= 2d it iterates the
+    map T -> d F(T) / tr F(T), where F is the right-hand side, accelerated
+    with type-II Anderson mixing of the last five steps, safeguarded: an
     extrapolated iterate that cannot be Cholesky-factored, has a non-finite
     map value or a larger relative residual than the last accepted iterate
     is replaced by the plain map step from that iterate, and the history is
-    cleared.  The iteration stops on one rule, ||F(T) - T||_F <= tol *
-    ||T||_F, measured on the map evaluation it already makes, and returns
-    the iterate measured.  The estimator is invariant under rescaling any
-    column by a nonzero scalar, so it is distribution-free over generalized
-    spherical (and elliptical) populations; columns of extreme scale are
-    rescaled by exact powers of two before the iteration.
+    cleared.  For n < 2d every iterate after the identity is X e^y X^t
+    scaled to trace d, and damped Newton steps on the n log-weights y
+    minimize the convex f(y) = log det(X e^y X^t) - (d/n) sum(y), whose
+    stationary points are the solutions, each step moving no log-weight by
+    more than 2; each trial point of the backtracking line search is a map
+    evaluation.  Both stop on one rule,
+    ||F(T) - T||_F <= tol * ||T||_F, measured on the map evaluation they
+    already make, and return the iterate measured.  The estimator is
+    invariant under rescaling any column by a nonzero scalar, so it is
+    distribution-free over generalized spherical (and elliptical)
+    populations; columns of extreme scale are rescaled by exact powers of
+    two before the iteration.
 
     Parameters
     ----------
@@ -170,7 +203,7 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     tol : float
         Relative Frobenius residual tolerance (finite, > 0).
     max_iter : int
-        Cap on map evaluations (>= 1).
+        Cap on map evaluations (>= 1), line-search trials included.
 
     Returns
     -------
@@ -197,44 +230,64 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if n < d or n == d > 1:  # at n = d > 1 every X D X^t, D > 0 diagonal, solves the equation
         raise ValueError(f"dimension-exceeds-sample: Tyler's estimator requires n > d, got d={d}, n={n}")
-    X = _rescale_columns(X)
-    work = np.empty((n, d), order="F")  # the kernel's workspace, reused by every evaluation
+    fit = _newton_fit if n < _NEWTON_RATIO * d else _anderson_fit
+    return fit(_rescale_columns(X), tol, max_iter)
 
-    steps: list[float] = []
 
-    def evaluate(omega, start=False):
-        # one kernel evaluation: the trace-d map value d F / tr F and the
-        # residual ||F(omega) - omega||_F, or (None, inf) when omega cannot
-        # be factored or F(omega) is not finite.  A non-finite omega is not
-        # evaluated and counts no step.  The identity start needs no factor
-        norm2 = _dot(omega, omega)
-        if not math.isfinite(norm2):
-            return None, math.inf
-        try:
-            rhs = _tyler_rhs(X, None if start else omega, work)
-        except LinAlgError:
-            rhs = None
-        else:
-            gap = rhs - omega
-            residual = math.sqrt(_dot(gap, gap))
-        if rhs is None or not math.isfinite(residual):
-            steps.append(math.inf)
-            return None, math.inf
-        steps.append(residual / math.sqrt(norm2))
-        rhs *= d / np.trace(rhs)
-        return rhs, residual
+def _evaluate(X, omega, steps, work, whitened=None, start=False):
+    # one kernel evaluation: the trace-d map value d F / tr F, the residual
+    # ||F(omega) - omega||_F and, with ``whitened``, log det omega; or
+    # (None, inf, nan) when omega cannot be factored or F(omega) is not
+    # finite.  Each appends its relative residual to ``steps``, but a
+    # non-finite omega is not evaluated and counts no step.  The identity
+    # start needs no factor
+    norm2 = _dot(omega, omega)
+    if not math.isfinite(norm2):
+        return None, math.inf, math.nan
+    try:
+        rhs = _tyler_rhs(X, None if start else omega, work, whitened)
+    except LinAlgError:
+        rhs = None
+    else:
+        rhs, logdet = (rhs, math.nan) if whitened is None else rhs
+        gap = rhs - omega
+        residual = math.sqrt(_dot(gap, gap))
+    if rhs is None or not math.isfinite(residual):
+        steps.append(math.inf)
+        return None, math.inf, math.nan
+    steps.append(residual / math.sqrt(norm2))
+    rhs *= X.shape[0] / np.trace(rhs)
+    return rhs, residual, logdet
 
-    def report(omega, residual, converged):
-        return TylerReport(
-            estimate=omega,
-            iterations=len(steps),
-            residual=residual,
-            converged=converged,
-            step_history=tuple(steps),
+
+def _report(omega, steps, residual, converged):
+    return TylerReport(omega, len(steps), residual, converged, tuple(steps))
+
+
+def _lost_definiteness(omega, steps):
+    return NoConvergenceError(
+        "no-convergence: iterate lost positive definiteness (columns may be concentrated on a subspace)",
+        _report(omega, steps, math.inf, False),
+    )
+
+
+def _result(omega, steps, residual, relative, tol, max_iter):
+    if relative > tol:
+        raise NoConvergenceError(
+            f"no-convergence: {max_iter} iterations without meeting tol={tol}",
+            _report(omega, steps, residual, False),
         )
+    return _report(omega, steps, residual, True)
 
+
+def _anderson_fit(X, tol, max_iter):
+    # Anderson-accelerated map iteration from the identity on a checked,
+    # rescaled X (see ``tyler``)
+    d, n = X.shape
+    work = np.empty((n, d), order="F")  # the kernel's workspace, reused by every evaluation
+    steps: list[float] = []
     omega = np.eye(d)
-    mapped, residual = evaluate(omega, start=True)
+    mapped, residual, _ = _evaluate(X, omega, steps, work, start=True)
     defect = mapped - omega
     relative = steps[-1]
     # Anderson history of the accepted iterates: rows of differences of
@@ -265,7 +318,7 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
             candidate *= d / np.trace(candidate)
         else:
             candidate = mapped
-        new_mapped, new_residual = evaluate(candidate)
+        new_mapped, new_residual, _ = _evaluate(X, candidate, steps, work)
         if added and (new_mapped is None or steps[-1] > relative):
             # safeguard: an extrapolation that cannot be evaluated, or whose
             # residual grows, clears the history, so the next pass takes the
@@ -273,11 +326,7 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
             added = 0
             continue
         if new_mapped is None:
-            raise NoConvergenceError(
-                "no-convergence: iterate lost positive definiteness "
-                "(columns may be concentrated on a subspace)",
-                report(candidate, math.inf, False),
-            )
+            raise _lost_definiteness(candidate, steps)
         new_defect = new_mapped - candidate
         slot = added % _ANDERSON_DEPTH
         np.subtract(new_mapped.ravel(), mapped.ravel(), out=dmapped[slot])
@@ -285,13 +334,92 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         added += 1
         omega, mapped, defect = candidate, new_mapped, new_defect
         residual, relative = new_residual, steps[-1]
+    return _result(omega, steps, residual, relative, tol, max_iter)
 
-    if relative > tol:
-        raise NoConvergenceError(
-            f"no-convergence: {max_iter} iterations without meeting tol={tol}",
-            report(omega, residual, False),
-        )
-    return report(omega, residual, True)
+
+def _newton_fit(X, tol, max_iter):
+    # damped Newton iteration from the identity on a checked, rescaled X (see
+    # ``tyler``).  Every iterate after the identity is X e^y X^t at trace d.
+    # The first is the plain map step from the identity, y = -log q with q_j
+    # = |X_j|^2, since F(omega) is proportional to X diag(1/q) X^t; each
+    # later one is a Newton trial y + t delta, t = 1, 1/2, ..., accepted when
+    # f falls by Armijo's fraction of the predicted decrease or the map
+    # residual falls (near the solution f's change is below its roundoff).
+    # A Hessian that cannot be factored, or a line search that reaches
+    # _MIN_STEP, takes the plain map step from the accepted iterate instead
+    d, n = X.shape
+    work, whitened = np.empty((n, d), order="F"), np.empty((n, d), order="F")
+    steps: list[float] = []
+    omega = np.eye(d)
+    _, residual, _ = _evaluate(X, omega, steps, work, whitened, start=True)
+    relative = steps[-1]
+    q = np.einsum("ij,ij->i", whitened, whitened)
+    delta = None
+    while relative > tol and len(steps) < max_iter:
+        trial = -np.log(q) if delta is None else y + t * delta
+        candidate, shift = _weighted_gram(X, trial, work)
+        _, new_residual, logdet = _evaluate(X, candidate, steps, work, whitened)
+        value = logdet + shift - (d / n) * float(trial.sum())  # f(trial), nan when not evaluated
+        new_q = np.einsum("ij,ij->i", whitened, whitened)
+        evaluated = math.isfinite(value) and np.isfinite(new_q).all()
+        if delta is not None and not (evaluated and (value <= f + _ARMIJO * t * slope or steps[-1] < relative)):
+            t *= 0.5
+            if t < _MIN_STEP:
+                delta = None
+            continue
+        if not evaluated:
+            raise _lost_definiteness(candidate, steps)
+        y, q, f = trial, new_q, value
+        omega, residual, relative = candidate, new_residual, steps[-1]
+        delta, slope = _newton_step(whitened, y, q)
+        t = 1.0
+    return _result(omega, steps, residual, relative, tol, max_iter)
+
+
+def _weighted_gram(X, y, work):
+    # the iterate of log-weights y, X e^y X^t scaled to trace d, and
+    # log det(X e^y X^t) minus its log det.  The weights are taken as
+    # e^(y - max y) <= 1, which cannot overflow
+    d = X.shape[0]
+    top = y.max()
+    np.multiply(X.T, np.exp(0.5 * (y - top))[:, None], out=work)
+    omega = _gram(work.T)
+    trace = np.trace(omega)
+    omega *= d / trace
+    return omega, d * (top + math.log(trace / d))
+
+
+def _newton_step(Z, y, q):
+    # the Newton step delta of f(y) = log det(X e^y X^t) - (d/n) sum(y) and
+    # the slope g^t delta, from the whitened rows Z = X^t L^{-t} of the
+    # iterate (overwritten) and their squared norms q; (None, nan) when the
+    # Hessian cannot be factored or the step is not a descent direction.
+    # The gradient is g = h - d/n, h the leverages w_j X_j^t Omega^{-1} X_j
+    # of Omega = X W X^t, W = e^y, and the Hessian diag(h) - P∘P, P the hat
+    # matrix of W^{1/2} X^t: a weighted Laplacian with null vector 1, so
+    # adding 11^t / n makes it positive definite and leaves delta
+    # orthogonal to 1, the direction f does not change along
+    n, d = Z.shape
+    w = np.exp(y - y.max())
+    s = w * q
+    scale = d / s.sum()  # omega / Omega: the leverages sum to d
+    h = s * scale
+    Z *= np.sqrt(w * scale)[:, None]
+    hessian = _blas.dsyrk(Z, trans=0)  # P, upper triangle
+    np.square(hessian, out=hessian)
+    np.negative(hessian, out=hessian)
+    hessian.flat[:: n + 1] += h
+    hessian += 1.0 / n
+    factor, info = _blas.dpotrf(hessian, clean=0, overwrite_a=1)
+    if info != 0:
+        return None, math.nan
+    g = h - d / n
+    delta, info = _blas.dpotrs(factor, g)
+    delta *= -1.0 / max(1.0, np.abs(delta).max() / _MAX_STEP)
+    slope = ddot(g, delta)
+    if info != 0 or not -math.inf < slope < 0:
+        return None, math.nan
+    return delta, slope
 
 
 def _dot(A: np.ndarray, B: np.ndarray) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve, lapack
+from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve, lapack, solve_triangular
 
 from tylerlaw import (
     ChiRadius,
@@ -23,24 +23,40 @@ from tylerlaw import (
 TOL = 1e-9
 
 
-def reference_rhs(X, omega, work=None):
+def reference_rhs(X, omega, work=None, whitened=None):
     # the kernel with numpy's Gram product, symmetrized afterwards: the
     # oracle for estimators._tyler_rhs, with its signature (omega None is
-    # the identity; the reference needs no workspace)
+    # the identity; the reference needs no workspace).  With ``whitened`` it
+    # also leaves X^t L^{-t} there and returns log det omega, as the Newton
+    # fit asks
     d, n = X.shape
     omega = np.eye(d) if omega is None else omega
-    q = np.einsum("ij,ij->j", X, cho_solve(cho_factor(omega, lower=True), X))
+    factor = cho_factor(omega, lower=True)
+    q = np.einsum("ij,ij->j", X, cho_solve(factor, X))
     Y = X / np.sqrt(q)
     G = (d / n) * (Y @ Y.T)
-    return 0.5 * (G + G.T)
+    G = 0.5 * (G + G.T)
+    if whitened is None:
+        return G
+    whitened[:] = solve_triangular(factor[0], X, lower=True).T
+    return G, 2.0 * np.log(np.diag(factor[0])).sum()
+
+
+def f2py_whiten(X, omega):
+    # X^t L^{-t} by the kernel's steps in scipy's f2py wrappers: below n = 2d
+    # one triangular solve, from n = 2d on the inverted factor and a product
+    d, n = X.shape
+    L = lapack.dpotrf(omega, lower=1, clean=0)[0]
+    if n < 2 * d:
+        return blas.dtrsm(1.0, L, X.T, side=1, lower=1, trans_a=1)
+    return blas.dtrmm(1.0, lapack.dtrtri(L, lower=1)[0], X.T, side=1, lower=1, trans_a=1)
 
 
 def f2py_rhs(X, omega):
     # the kernel's steps made with scipy's f2py wrappers and numpy: the bits
     # estimators._tyler_rhs promises
     d, n = X.shape
-    L = lapack.dtrtri(lapack.dpotrf(omega, lower=1, clean=0)[0], lower=1)[0]
-    Z = blas.dtrmm(1.0, L, X.T, side=1, lower=1, trans_a=1)
+    Z = f2py_whiten(X, omega)
     Y = X / np.sqrt(np.einsum("ij,ij->i", Z, Z))
     G = blas.dsyrk(1.0, Y.T, trans=1)
     G = G + G.T
@@ -104,6 +120,14 @@ class TestTyler:
         np.testing.assert_allclose(rep.estimate, [[1.0]])
         assert rep.iterations == 1
         assert rep.converged
+
+    def test_one_by_one_converges_at_the_first_evaluation(self):
+        # (1, 1) is below n = 2d, so the Newton fit runs it; the identity
+        # start is its fixed point, exactly
+        rep = tyler(np.array([[-7.0]]))
+        assert rep.estimate.tolist() == [[1.0]]
+        assert rep.iterations == 1 and rep.step_history == (0.0,)
+        assert rep.converged and rep.residual == 0.0
 
     def test_scaled_identity_fixed_point(self):
         # three unit vectors 120 degrees apart, scaled by 3, form a tight
@@ -216,15 +240,57 @@ class TestTyler:
         assert tyler_residual(X, rep.estimate) <= TOL * np.linalg.norm(rep.estimate)
 
     def test_anderson_evaluation_counts(self):
-        # the plain map needs 120-123 evaluations at (100, 120) and up to
-        # 8071 on (2, 4) samples; these counts hold only while the
+        # at n >= 2d the fit is Anderson's.  The plain map needs up to 8071
+        # evaluations on (2, 4) samples; these counts hold only while the
         # extrapolation is accepted, so an Anderson step that silently
         # falls back to plain steps fails here
-        counts = [tyler(np.random.default_rng(s).standard_normal((100, 120))).iterations for s in range(4)]
-        assert counts == [22, 18, 19, 21]
-        for s in range(4):
-            assert tyler(np.random.default_rng(s).standard_normal((100, 105))).iterations <= 38
+        counts = [tyler(np.random.default_rng(s).standard_normal((100, 200))).iterations for s in range(4)]
+        assert counts == [14, 14, 13, 13]
+        counts = [tyler(np.random.default_rng(s).standard_normal((16, 64))).iterations for s in range(4)]
+        assert counts == [13, 13, 13, 13]
         assert max(tyler(cauchy_scaled_sample(s, 2, 4)).iterations for s in range(400)) <= 46
+
+    def test_newton_evaluation_counts(self):
+        # at n < 2d the fit is Newton's: the identity, the plain map step
+        # from it, then Newton trials.  Anderson needed 18-22 evaluations at
+        # (100, 120) and up to 38 at (100, 105), the plain map 120-123 at
+        # (100, 120); a Newton step that silently fell back to map steps, or
+        # a line search that halved full steps, would fail here
+        counts = [tyler(np.random.default_rng(s).standard_normal((100, 120))).iterations for s in range(4)]
+        assert counts == [7, 7, 7, 7]
+        counts = [tyler(np.random.default_rng(s).standard_normal((100, 105))).iterations for s in range(4)]
+        assert counts == [8, 7, 7, 7]
+
+    @pytest.mark.parametrize("d, n", [(64, 127), (64, 128)])
+    def test_newton_and_anderson_fits_agree(self, d, n):
+        # the two fits on both sides of the n < 2d rule, called directly:
+        # one solution, reached by either
+        X = sample_population(PopulationSpec(d, ChiRadius(d), seed=n), n)
+        newton = estimators._newton_fit(X, TOL, 1000)
+        anderson = estimators._anderson_fit(X, TOL, 1000)
+        assert newton.converged and anderson.converged
+        for rep in (newton, anderson):
+            assert tyler_residual(X, rep.estimate) <= TOL * np.linalg.norm(rep.estimate)
+        gap = np.linalg.norm(newton.estimate - anderson.estimate)
+        assert gap <= 10 * TOL * np.linalg.norm(anderson.estimate)
+
+    def test_unfactorable_hessian_takes_the_plain_map_step(self, monkeypatch):
+        # a Hessian whose factorization fails (dpotrf on the upper triangle;
+        # the kernel factors the lower) leaves the plain map step in weight
+        # space, y <- -log q, which converges like the plain map: more
+        # evaluations than Newton's, to the same fixed point
+        X = cauchy_scaled_sample(3, 6, 9)
+        newton = tyler(X, tol=TOL)
+        real = estimators._blas.dpotrf
+
+        def dpotrf(a, lower=0, **kwargs):
+            return real(a, lower=lower, **kwargs) if lower else (a, 1)
+
+        monkeypatch.setattr(estimators._blas, "dpotrf", dpotrf)
+        plain = tyler(X, tol=TOL)
+        assert plain.converged and plain.iterations > newton.iterations
+        assert tyler_residual(X, plain.estimate) <= TOL * np.linalg.norm(plain.estimate)
+        assert np.linalg.norm(plain.estimate - newton.estimate) <= 10 * TOL * np.linalg.norm(newton.estimate)
 
     def test_requires_enough_observations(self):
         with pytest.raises(ValueError, match="dimension-exceeds-sample"):
@@ -282,6 +348,22 @@ class TestTyler:
             tyler(X)
         assert not exc.value.report.converged
 
+    @pytest.mark.parametrize("d, n", [(2, 3), (4, 6), (10, 15), (100, 120)])
+    def test_two_parallel_columns_break_the_condition_near_square(self, d, n):
+        # at n < 2d a line holding two columns holds more than n/d of the
+        # points, so no shape solves the equation: the Newton iterate
+        # degenerates until a step cannot be evaluated or the cap is
+        # reached, and the fit raises NoConvergenceError, not LinAlgError or
+        # a RuntimeWarning (an error under pytest), and does not hang
+        X = np.random.default_rng(n).standard_normal((d, n))
+        X[:, 1] = -2.5 * X[:, 0]
+        with pytest.raises(NoConvergenceError, match="no-convergence") as exc:
+            tyler(X)
+        report = exc.value.report
+        assert not report.converged
+        assert report.iterations <= 1000
+        assert abs(np.trace(report.estimate) - d) <= 1e-10 * d
+
     def test_rejects_columns_concentrated_on_a_line(self):
         # 30 of 40 columns on e1 (d = 4) break Tyler's existence condition
         # (n/d = 10 or more on a line), so no estimate solves the equation
@@ -301,11 +383,17 @@ class TestTyler:
         # evaluations, after the same ones as the uncapped fit, and reports
         # the residual of the estimate it returns.  The (2, 4) fits reject
         # extrapolations, seed 0's at evaluation 4 (13 in all) and seed
-        # 282's at 3, 5 and 9 (40 in all), so some caps fall right after one
+        # 282's at 3, 5 and 9 (40 in all), so some caps fall right after one.
+        # The near-square fits are Newton's: (3, 5) seed 50 rejects one
+        # line-search trial (7 evaluations in all), (6, 7) seed 191 ten (32),
+        # and (100, 120) is the benchmark's shape
         samples = [
             (sample_population(PopulationSpec(4, ChiRadius(4), seed=12), 40), 1e-15),
             (cauchy_scaled_sample(0, 2, 4), TOL),
             (cauchy_scaled_sample(282, 2, 4), TOL),
+            (cauchy_scaled_sample(50, 3, 5), TOL),
+            (cauchy_scaled_sample(191, 6, 7), TOL),
+            (sample_population(PopulationSpec(100, ChiRadius(100), seed=12), 120), TOL),
         ]
         for X, tol in samples:
             full = tyler(X, tol=tol)
@@ -409,6 +497,21 @@ class TestTylerKernel:
             got = estimators._tyler_rhs(X, shape, work)
             assert got.tobytes() == f2py_rhs(X, shape).tobytes()
         assert estimators._tyler_rhs(X, omega).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("d, n", [(16, 1600), (100, 120)])
+    def test_whitened_evaluation_keeps_the_whitened_data(self, d, n):
+        # with ``whitened`` the map value keeps its bits, X^t L^{-t} is left
+        # there with f2py's bits, and log det omega comes with it; at the
+        # identity the whitened data is X^t and the log det 0
+        X, omega = self.pair(d, n)
+        whitened = np.full((n, d), np.nan, order="F")
+        value, logdet = estimators._tyler_rhs(X, omega, None, whitened)
+        assert value.tobytes() == estimators._tyler_rhs(X, omega).tobytes()
+        assert whitened.tobytes() == np.asfortranarray(f2py_whiten(X, omega)).tobytes()
+        assert abs(logdet - np.linalg.slogdet(omega)[1]) <= 1e-13 * d
+        value, logdet = estimators._tyler_rhs(X, None, None, whitened)
+        assert value.tobytes() == estimators._tyler_rhs(X, None).tobytes()
+        assert whitened.tobytes() == np.asfortranarray(X.T).tobytes() and logdet == 0.0
 
     @pytest.mark.parametrize("scales", ["none", "moderate", "extreme"])
     @pytest.mark.parametrize("d, n", [(3, 5), (16, 1600), (100, 120)])

@@ -7,12 +7,10 @@ source for the numpy entry points into its BLAS and LAPACK.  Axis-wise
 
 The kernel routines have one path, ``tylerlaw._blas``, so no other module may
 import scipy's f2py wrappers of them.  ``_blas`` calls through ctypes, without
-the GIL, only the two whose cost grows with n, ``dtrmm`` and ``dsyrk``; it
-re-exports the f2py wrappers of the (d, d) ones, ``dpotrf``, ``dtrtri`` and
-``dsyevd``, which were 1.2-25 us per call faster than ctypes wrappers at
-d = 16-100 on 2 vCPUs.  ``dtrsm`` stays on the list
-although no module calls it: the whitening step inverts the Cholesky factor
-instead, and an f2py triangular solve must not come back.
+the GIL, only the three whose cost grows with n, ``dtrmm``, ``dtrsm`` and
+``dsyrk``; it re-exports the f2py wrappers of the (d, d) ones, ``dpotrf``,
+``dtrtri`` and ``dsyevd``, which were 1.2-25 us per call faster than ctypes
+wrappers at d = 16-100 on 2 vCPUs, and ``dpotrs`` for the Newton step.
 
 No module, ``_blas`` included, imports ``scipy.linalg`` or a submodule of it:
 ``_blas`` loads the three extension modules it needs from scipy's directory
@@ -37,7 +35,7 @@ SOURCES = sorted(Path(tylerlaw.__file__).parent.glob("*.py"))
 _NUMPY_BLAS = {"dot", "matmul", "inner", "tensordot", "polyfit"}  # polyfit solves with numpy.linalg.lstsq
 _LINALG_ALLOWED = {"LinAlgError", "norm"}
 _BANNED_IMPORTS = {f"numpy.{name}" for name in _NUMPY_BLAS | {"linalg"}}
-_KERNELS = {"dpotrf", "dtrtri", "dtrmm", "dtrsm", "dsyrk", "dsyevd"}  # through tylerlaw._blas only
+_KERNELS = {"dpotrf", "dpotrs", "dtrtri", "dtrmm", "dtrsm", "dsyrk", "dsyevd"}  # through tylerlaw._blas only
 _F2PY_MODULES = {"scipy.linalg.blas", "scipy.linalg.lapack"}
 _OTHER_LEAST_SQUARES = {"dgels", "dgelsd", "dgelsd_lwork", "dgelss_lwork", "dgelsy", "dgelsy_lwork", "lstsq"}
 
