@@ -2,15 +2,18 @@
 scipy's OpenBLAS thread count.
 
 ctypes for a routine whose cost grows with n, f2py for everything else.  dtrmm, dtrsm and
-dsyrk cost O(d^2 n) (dsyrk's n x n Gram of the Newton step O(n^2 d)), long enough that a
-held GIL would serialize parallel trials: each is called through its pointer in scipy's
-public Cython API by a ctypes function, which releases the GIL, with the arguments its f2py
-wrapper passes the same library, so it returns the same bits.  dpotrf, dtrtri, dsyevd and
-the Anderson step's calls work on (d, d) or smaller arrays, where f2py costs less per call
-(1.2-25 us less for the first three at d = 16-100 on 2 vCPUs).  The Newton step's dpotrf
-and dpotrs on its n x n Hessian are f2py calls too: the fit takes Newton steps only at
-n < 2d, where the Hessian is under 4x the size of the (d, d) factor, so it falls under the
-same rule as that factor.  Near n = d these calls hold the GIL for much of a parallel trial
+dsyrk cost O(d^2 n) in the kernel (in a near-square fit's weight space, O(n (n - d)^2) and
+the Hessian's n x n Gram O(n^2 (n - d))), long enough that a held GIL would serialize
+parallel trials: each is called through its pointer in scipy's public Cython API by a
+ctypes function, which releases the GIL, with the arguments its f2py wrapper passes the
+same library, so it returns the same bits.  dpotrf, dtrtri, dsyevd and the Anderson step's
+calls work on (d, d) or smaller arrays, where f2py costs less per call (1.2-25 us less for
+the first three at d = 16-100 on 2 vCPUs).  The Newton fit runs only at n < 2d, where an
+(n, n) array is under 4x the size of the (d, d) factor, so its calls on them fall under
+the same rule: dpotrf and dpotrs on the Hessian, dgemv on the weight space's (n, n)
+matrix, dpotrf on its (n - d, n - d) Gram.  dgetrf, dtrtrs and dlaswp, which make the
+null-space basis from the (n, d) data, are f2py calls too: they run once per fit, not
+once per evaluation.  Near n = d these calls hold the GIL for much of a parallel trial
 (README, "Performance").  The three extension modules are loaded by spec from scipy's
 linalg directory: that skips ``scipy/linalg/__init__.py`` and the numpy submodules it
 imports (0.25 s, 11-13 MB)."""
@@ -34,6 +37,7 @@ def _linalg_extension(name):
 cython_blas, _fblas, _flapack = map(_linalg_extension, ("cython_blas", "_fblas", "_flapack"))
 ddot, dgemm, dgemv, dgelss = _fblas.ddot, _fblas.dgemm, _fblas.dgemv, _flapack.dgelss
 dpotrf, dpotrs, dtrtri, dsyevd = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtri, _flapack.dsyevd
+dgetrf, dtrtrs, dlaswp = _flapack.dgetrf, _flapack.dtrtrs, _flapack.dlaswp
 
 _name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
 _pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))

@@ -62,16 +62,20 @@ class TylerReport:
         and every trial point of a Newton line search, rejected or not.
     residual : float
         Frobenius norm of the fixed-point defect ||F(T) - T||_F of the
-        returned estimate, from the map evaluation the iteration made on it;
-        ``inf`` when the estimate cannot be Cholesky-factored or its map
-        value is not finite (the fit then raises NoConvergenceError).
+        returned estimate, from the kernel's map evaluation of it (below
+        n = 2d a re-measure of the returned iterate, so it equals
+        ``tyler_residual(X, estimate)``); ``inf`` when the estimate cannot be
+        Cholesky-factored or its map value is not finite (the fit then
+        raises NoConvergenceError).
     converged : bool
         Whether ``residual <= tol * ||estimate||_F``: the shape equation is
         solved to ``tol``.
     step_history : tuple of float
         Relative residual ||F(T) - T||_F / ||T||_F of each evaluated
         iterate, one entry per map evaluation (``inf`` for one that could
-        not be evaluated).
+        not be evaluated).  Below n = 2d every entry after the first comes
+        from the weight-space evaluation, which agrees with the kernel's to
+        roundoff.
     """
 
     estimate: np.ndarray = field(compare=False)
@@ -130,27 +134,21 @@ def _gram(Y: np.ndarray) -> np.ndarray:
     return G
 
 
-def _tyler_rhs(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray | None = None,
-               whitened: np.ndarray | None = None):
+def _tyler_rhs(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray | None = None) -> np.ndarray:
     """Evaluate (d/n) * sum_j X_j X_j^t / (X_j^t omega^{-1} X_j), omega None the identity, in
-    ``work``: an (n, d) Fortran-ordered array it overwrites, fresh when None, one per fit in ``tyler``.
-    With ``whitened``, a second such array, the whitened data X^t L^{-t} (L omega's Cholesky factor)
-    is made and left there, and the result is the pair (value, log det omega)."""
+    ``work``: an (n, d) Fortran-ordered array it overwrites, fresh when None, one per fit in ``tyler``."""
     d, n = X.shape
-    # the workspace holds X^t, then Z = X^t L^{-t}, whose row j is
-    # (L^{-1} X_j)^t, then (X / sqrt(q))^t: the evaluation makes no (d, n) temporary
+    # the workspace holds X^t, then Z = X^t L^{-t} (L omega's Cholesky
+    # factor), whose row j is (L^{-1} X_j)^t, then (X / sqrt(q))^t: the
+    # evaluation makes no (d, n) temporary
     work = np.empty((n, d), order="F") if work is None else work
-    Z = work if whitened is None else whitened
-    np.copyto(Z, X.T)
-    logdet = 0.0
+    np.copyto(work, X.T)
     if omega is not None:
         # no finiteness scans: X has passed `_as_data_matrix`, and omega is an
         # iterate `tyler` found finite or a shape `tyler_residual` has checked
         L, info = _blas.dpotrf(omega, lower=1, clean=0)
         if info != 0:
             raise LinAlgError(f"omega is not positive definite (dpotrf info {info})")
-        if whitened is not None:
-            logdet = 2.0 * float(np.log(np.diagonal(L)).sum())
         # X_j^t omega^{-1} X_j = |L^{-1} X_j|^2, made in place from the right
         # on X^t.  Near n = d by one triangular solve, which costs less than
         # the inverse and a product (91 us against 138 us at (100, 120) on 2
@@ -158,15 +156,14 @@ def _tyler_rhs(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray | None 
         # product (in scipy's OpenBLAS 2-3x faster than the solve when
         # n >> d).  At the identity L^{-1} = I, so Z is X^t itself
         if n < _NEWTON_RATIO * d:
-            _blas.dtrsm(L, Z)
+            _blas.dtrsm(L, work)
         else:
             L, info = _blas.dtrtri(L, lower=1)
             if info != 0:
                 raise LinAlgError(f"omega's Cholesky factor is singular (dtrtri info {info})")
-            _blas.dtrmm(L, Z)
-    np.divide(X.T, np.sqrt(np.einsum("ij,ij->i", Z, Z))[:, None], out=work)
-    value = _gram(work.T) * (d / n)
-    return value if whitened is None else (value, logdet)
+            _blas.dtrmm(L, work)
+    np.divide(X.T, np.sqrt(np.einsum("ij,ij->i", work, work))[:, None], out=work)
+    return _gram(work.T) * (d / n)
 
 
 def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
@@ -188,11 +185,14 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     minimize the convex f(y) = log det(X e^y X^t) - (d/n) sum(y), whose
     stationary points are the solutions, each step moving no log-weight by
     more than 2; each trial point of the backtracking line search is a map
-    evaluation.  Both stop on one rule,
-    ||F(T) - T||_F <= tol * ||T||_F, measured on the map evaluation they
-    already make, and return the iterate measured.  The estimator is
-    invariant under rescaling any column by a nonzero scalar, so it is
-    distribution-free over generalized spherical (and elliptical)
+    evaluation, made in the n - d dimensions orthogonal to the rows of the
+    data scaled to unit columns.
+    Both stop on one rule, ||F(T) - T||_F <= tol * ||T||_F, measured on the
+    map evaluation they already make, and return the iterate measured; below
+    2d the kernel re-measures the returned iterate, and its residual decides
+    (if it misses ``tol`` while evaluations remain, the fit goes on).  The
+    estimator is invariant under rescaling any column by a nonzero scalar,
+    so it is distribution-free over generalized spherical (and elliptical)
     populations; columns of extreme scale are rescaled by exact powers of
     two before the iteration.
 
@@ -234,30 +234,28 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     return fit(_rescale_columns(X), tol, max_iter)
 
 
-def _evaluate(X, omega, steps, work, whitened=None, start=False):
-    # one kernel evaluation: the trace-d map value d F / tr F, the residual
-    # ||F(omega) - omega||_F and, with ``whitened``, log det omega; or
-    # (None, inf, nan) when omega cannot be factored or F(omega) is not
-    # finite.  Each appends its relative residual to ``steps``, but a
-    # non-finite omega is not evaluated and counts no step.  The identity
-    # start needs no factor
+def _evaluate(X, omega, steps, work, start=False):
+    # one kernel evaluation: the trace-d map value d F / tr F and the residual
+    # ||F(omega) - omega||_F, or (None, inf) when omega cannot be factored or
+    # F(omega) is not finite.  Each appends its relative residual to
+    # ``steps``, but a non-finite omega is not evaluated and counts no step.
+    # The identity start needs no factor
     norm2 = _dot(omega, omega)
     if not math.isfinite(norm2):
-        return None, math.inf, math.nan
+        return None, math.inf
     try:
-        rhs = _tyler_rhs(X, None if start else omega, work, whitened)
+        rhs = _tyler_rhs(X, None if start else omega, work)
     except LinAlgError:
         rhs = None
     else:
-        rhs, logdet = (rhs, math.nan) if whitened is None else rhs
         gap = rhs - omega
         residual = math.sqrt(_dot(gap, gap))
     if rhs is None or not math.isfinite(residual):
         steps.append(math.inf)
-        return None, math.inf, math.nan
+        return None, math.inf
     steps.append(residual / math.sqrt(norm2))
     rhs *= X.shape[0] / np.trace(rhs)
-    return rhs, residual, logdet
+    return rhs, residual
 
 
 def _report(omega, steps, residual, converged):
@@ -287,7 +285,7 @@ def _anderson_fit(X, tol, max_iter):
     work = np.empty((n, d), order="F")  # the kernel's workspace, reused by every evaluation
     steps: list[float] = []
     omega = np.eye(d)
-    mapped, residual, _ = _evaluate(X, omega, steps, work, start=True)
+    mapped, residual = _evaluate(X, omega, steps, work, start=True)
     defect = mapped - omega
     relative = steps[-1]
     # Anderson history of the accepted iterates: rows of differences of
@@ -318,7 +316,7 @@ def _anderson_fit(X, tol, max_iter):
             candidate *= d / np.trace(candidate)
         else:
             candidate = mapped
-        new_mapped, new_residual, _ = _evaluate(X, candidate, steps, work)
+        new_mapped, new_residual = _evaluate(X, candidate, steps, work)
         if added and (new_mapped is None or steps[-1] > relative):
             # safeguard: an extrapolation that cannot be evaluated, or whose
             # residual grows, clears the history, so the next pass takes the
@@ -339,81 +337,149 @@ def _anderson_fit(X, tol, max_iter):
 
 def _newton_fit(X, tol, max_iter):
     # damped Newton iteration from the identity on a checked, rescaled X (see
-    # ``tyler``).  Every iterate after the identity is X e^y X^t at trace d.
-    # The first is the plain map step from the identity, y = -log q with q_j
-    # = |X_j|^2, since F(omega) is proportional to X diag(1/q) X^t; each
-    # later one is a Newton trial y + t delta, t = 1, 1/2, ..., accepted when
-    # f falls by Armijo's fraction of the predicted decrease or the map
-    # residual falls (near the solution f's change is below its roundoff).
-    # A Hessian that cannot be factored, or a line search that reaches
-    # _MIN_STEP, takes the plain map step from the accepted iterate instead
+    # ``tyler``).  Every iterate after the identity is U e^y U^t at trace d,
+    # U the data scaled to unit columns, and the kernel evaluates only the
+    # identity and the iterate returned: each trial point is evaluated in
+    # weight space (``_WeightSpace``).  The first is the plain map step from
+    # the identity, y = 0, since F(I) is proportional to U U^t; each later one
+    # is a Newton trial y + t delta, t = 1, 1/2, ..., accepted when f falls
+    # by Armijo's fraction of the predicted decrease or the map residual
+    # falls (near the solution f's change is below its roundoff).  A Hessian
+    # that cannot be factored, or a line search that reaches _MIN_STEP, takes
+    # the plain map step y - log h from the accepted iterate instead.  When
+    # the residual meets tol or the cap is reached, the kernel re-measures the
+    # accepted iterate, and its residual decides: if it misses tol while
+    # evaluations remain, the loop goes on
     d, n = X.shape
-    work, whitened = np.empty((n, d), order="F"), np.empty((n, d), order="F")
+    work = np.empty((n, d), order="F")
     steps: list[float] = []
     omega = np.eye(d)
-    _, residual, _ = _evaluate(X, omega, steps, work, whitened, start=True)
+    _, residual = _evaluate(X, omega, steps, work, start=True)
     relative = steps[-1]
-    q = np.einsum("ij,ij->i", whitened, whitened)
-    delta = None
-    while relative > tol and len(steps) < max_iter:
-        trial = -np.log(q) if delta is None else y + t * delta
-        candidate, shift = _weighted_gram(X, trial, work)
-        _, new_residual, logdet = _evaluate(X, candidate, steps, work, whitened)
-        value = logdet + shift - (d / n) * float(trial.sum())  # f(trial), nan when not evaluated
-        new_q = np.einsum("ij,ij->i", whitened, whitened)
-        evaluated = math.isfinite(value) and np.isfinite(new_q).all()
-        if delta is not None and not (evaluated and (value <= f + _ARMIJO * t * slope or steps[-1] < relative)):
-            t *= 0.5
-            if t < _MIN_STEP:
-                delta = None
-            continue
-        if not evaluated:
-            raise _lost_definiteness(candidate, steps)
-        y, q, f = trial, new_q, value
-        omega, residual, relative = candidate, new_residual, steps[-1]
-        delta, slope = _newton_step(whitened, y, q)
-        t = 1.0
-    return _result(omega, steps, residual, relative, tol, max_iter)
+    if relative <= tol or len(steps) >= max_iter:
+        return _result(omega, steps, residual, relative, tol, max_iter)
+    space = _WeightSpace(X)
+    plain, delta, stepped = np.zeros(n), None, True
+    while True:
+        while relative > tol and len(steps) < max_iter:
+            if not stepped:
+                # the Newton step of the point just accepted (``rows`` still
+                # holds it), taken only when the loop goes on past it
+                delta, slope = _newton_step(space.rows, h)
+                t, stepped = 1.0, True
+            trial = plain if delta is None else y + t * delta
+            point = space.evaluate(trial)
+            evaluated = point is not None
+            steps.append(point[0] if evaluated else math.inf)
+            if delta is not None and not (evaluated and (point[1] <= f + _ARMIJO * t * slope or steps[-1] < relative)):
+                t *= 0.5
+                if t < _MIN_STEP:
+                    delta = None
+                continue
+            if not evaluated:
+                raise _lost_definiteness(_weighted_gram(space.unit, trial, work), steps)
+            y, (relative, f, h) = trial, point
+            plain, stepped = y - np.log(h), False
+        omega = _weighted_gram(space.unit, y, work)
+        measured: list[float] = []  # the kernel's relative residual, not an evaluation of the fit
+        _, residual = _evaluate(X, omega, measured, work)
+        if residual == math.inf:
+            raise _lost_definiteness(omega, steps)
+        relative = measured[0]
+        if relative <= tol or len(steps) >= max_iter:
+            return _result(omega, steps, residual, relative, tol, max_iter)
 
 
 def _weighted_gram(X, y, work):
-    # the iterate of log-weights y, X e^y X^t scaled to trace d, and
-    # log det(X e^y X^t) minus its log det.  The weights are taken as
-    # e^(y - max y) <= 1, which cannot overflow
+    # the iterate of log-weights y, X e^y X^t scaled to trace d.  The weights
+    # are taken as e^(y - max y) <= 1, which cannot overflow
     d = X.shape[0]
-    top = y.max()
-    np.multiply(X.T, np.exp(0.5 * (y - top))[:, None], out=work)
+    np.multiply(X.T, np.exp(0.5 * (y - y.max()))[:, None], out=work)
     omega = _gram(work.T)
-    trace = np.trace(omega)
-    omega *= d / trace
-    return omega, d * (top + math.log(trace / d))
+    omega *= d / np.trace(omega)
+    return omega
 
 
-def _newton_step(Z, y, q):
+class _WeightSpace:
+    """Tyler's map at the iterates T = U diag(b) U^t, b proportional to e^y, of one
+    fit, evaluated in the n - d dimensions orthogonal to the rows of U, the data
+    scaled to unit columns (which leaves the fit where it was).
+
+    With W = e^y, the hat matrix P of W^{1/2} U^t has I - P = V M^{-1} V^t for
+    V = W^{-1/2} B, B a basis of U's null space and M = V^t V, so the
+    leverages are h = diag(P) = b_j U_j^t T^{-1} U_j, and F(T) = U diag(a) U^t
+    with a = (d/n) b / h.  Both matrices are combinations of the rank-one
+    U_j U_j^t, so ||F(T) - T||_F^2 = D^t K D with D = a - b and
+    K = (U^t U)∘(U^t U).  Jacobi's complementary-minor identity gives
+    log det(U W U^t) = sum(y) + log det(B^t W^{-1} B) + a constant.  A trial
+    point then costs O(n (n - d)^2) where the kernel's costs O(d^2 n).  Unit
+    columns keep K, a fourth power of the data, finite at every column scale
+    the fit leaves unrescaled."""
+
+    def __init__(self, X):
+        d, n = X.shape
+        self.unit = X / np.sqrt(np.einsum("ij,ij->j", X, X))
+        # P U^t = L R, L = [L1; L2] unit lower trapezoidal, so U B = 0 for
+        # B = P^t [-L1^{-t} L2^t; I], of rank n - d by its identity block.  A
+        # singular R means X has rank below d; no iterate is then evaluated
+        lu, pivots, info = _blas.dgetrf(self.unit.T)
+        top, _ = _blas.dtrtrs(lu, lu[d:].T, lower=1, trans=1, unitdiag=1)
+        self.basis = _blas.dlaswp(np.vstack([-top, np.eye(n - d)]), pivots, inc=-1)
+        self.singular = info != 0
+        # K; it is symmetric, and its transpose is the Fortran-ordered view
+        # that f2py's dgemv takes without a copy
+        self.kernel = np.square(_gram(self.unit.T)).T
+        self.rows = np.empty_like(self.basis, order="F")  # V, orthonormalized in place
+
+    def evaluate(self, y):
+        # (relative residual ||F(T) - T||_F / ||T||_F, f(y) up to a constant,
+        # h) at log-weights y, leaving V C^{-1} in ``rows`` (M = C^t C, so its
+        # columns are orthonormal and I - P = rows rows^t); None when the
+        # point cannot be evaluated: W^{-1/2} or M overflows, M cannot be
+        # factored, or a leverage is not in (0, 1].  Overflow and its nan are
+        # found by the checks, so numpy's warnings are off
+        n, m = self.basis.shape
+        d = n - m
+        top = y.max()
+        with np.errstate(all="ignore"):
+            np.multiply(self.basis, np.exp(0.5 * (top - y))[:, None], out=self.rows)
+            factor, info = _blas.dpotrf(_blas.dsyrk(self.rows).T, lower=1, clean=0)
+            _blas.dtrsm(factor, self.rows)
+            h = 1.0 - np.einsum("ij,ij->i", self.rows, self.rows)
+            w = np.exp(y - top)
+            b = w * (d / w.sum())  # trace d: the columns are unit vectors
+            gap = (d / n) * b / h - b
+            # D^t K D >= 0, but roundoff can take a near-zero one below
+            relative = math.sqrt(max(self._quadratic(gap), 0.0) / self._quadratic(b))
+            # f(y) = log det(U e^y U^t) - (d/n) sum(y), with
+            # log det(B^t W^{-1} B) = log det M - (n - d) max y
+            value = (1.0 - d / n) * float(y.sum()) - m * top + 2.0 * float(np.log(np.diagonal(factor)).sum())
+        if self.singular or info != 0 or not (math.isfinite(relative) and math.isfinite(value) and h.min() > 0):
+            return None
+        return relative, value, h
+
+    def _quadratic(self, v):
+        return ddot(v, dgemv(1.0, self.kernel, v))
+
+
+def _newton_step(V, h):
     # the Newton step delta of f(y) = log det(X e^y X^t) - (d/n) sum(y) and
-    # the slope g^t delta, from the whitened rows Z = X^t L^{-t} of the
-    # iterate (overwritten) and their squared norms q; (None, nan) when the
-    # Hessian cannot be factored or the step is not a descent direction.
-    # The gradient is g = h - d/n, h the leverages w_j X_j^t Omega^{-1} X_j
-    # of Omega = X W X^t, W = e^y, and the Hessian diag(h) - P∘P, P the hat
-    # matrix of W^{1/2} X^t: a weighted Laplacian with null vector 1, so
-    # adding 11^t / n makes it positive definite and leaves delta
-    # orthogonal to 1, the direction f does not change along
-    n, d = Z.shape
-    w = np.exp(y - y.max())
-    s = w * q
-    scale = d / s.sum()  # omega / Omega: the leverages sum to d
-    h = s * scale
-    Z *= np.sqrt(w * scale)[:, None]
-    hessian = _blas.dsyrk(Z, trans=0)  # P, upper triangle
+    # the slope g^t delta, from the leverages h and the orthonormal V with
+    # I - P = V V^t (see ``_WeightSpace``); (None, nan) when the Hessian
+    # cannot be factored or the step is not a descent direction.  The
+    # gradient is g = h - d/n and the Hessian diag(h) - P∘P: a weighted
+    # Laplacian with null vector 1, so adding 11^t / n makes it positive
+    # definite and leaves delta orthogonal to 1, the direction f does not
+    # change along.  Off the diagonal P∘P = (V V^t)∘(V V^t), and on it h^2
+    n = h.size
+    hessian = _blas.dsyrk(V, trans=0)  # I - P, upper triangle
     np.square(hessian, out=hessian)
-    np.negative(hessian, out=hessian)
-    hessian.flat[:: n + 1] += h
-    hessian += 1.0 / n
+    np.subtract(1.0 / n, hessian, out=hessian)
+    hessian.flat[:: n + 1] = h * (1.0 - h) + 1.0 / n
     factor, info = _blas.dpotrf(hessian, clean=0, overwrite_a=1)
     if info != 0:
         return None, math.nan
-    g = h - d / n
+    g = h - (n - V.shape[1]) / n
     delta, info = _blas.dpotrs(factor, g)
     delta *= -1.0 / max(1.0, np.abs(delta).max() / _MAX_STEP)
     slope = ddot(g, delta)

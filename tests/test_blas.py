@@ -6,8 +6,9 @@ trials run them without the GIL.  dpotrf, dtrtri and dsyevd work on (d, d)
 matrices, where f2py was 1.2-25 us per call faster on 2 vCPUs at d = 16-100,
 so they are scipy's f2py wrappers, guarded at their call sites in
 ``test_estimators`` and ``test_spectral``, and so are dpotrf and dpotrs on the
-Newton step's n x n Hessian, which exists only at n < 2d; the README's
-"Performance" section has what that costs parallel trials.  Each ctypes
+Newton step's n x n Hessian, which exists only at n < 2d, and dgetrf, dtrtrs
+and dlaswp, which make a near-square fit's null-space basis once per fit; the
+README's "Performance" section has what that costs parallel trials.  Each ctypes
 wrapper promises the bits of the f2py call it replaces.  ctypes passes raw
 pointers, so a layout mistake would be a silent wrong answer: each is also
 fed C-ordered, strided, integer and read-only inputs, which f2py turns into
@@ -73,7 +74,7 @@ def test_kernel_routines_match_f2py_bit_for_bit(d, n):
     assert_same_bits(buffer_dtrmm(Linv, X.T), f2py_dtrmm(Linv, X.T))
     assert_same_bits(buffer_dtrsm(L, X.T), f2py_dtrsm(L, X.T))
     assert_same_bits(_blas.dsyrk(X.T), blas.dsyrk(1.0, X.T, trans=1))
-    # the Newton step's n x n Gram of the whitened rows
+    # the n x n Gram product, as the Newton step takes it on the weight space's rows
     assert_same_bits(_blas.dsyrk(X.T, trans=0), blas.dsyrk(1.0, X.T, trans=0))
 
 
@@ -137,7 +138,7 @@ def test_kernels_release_the_gil():
     # the three kernels whose cost grows with n are the only ones that release it
     gil_free = {k for k, v in vars(_blas).items() if isinstance(v, ctypes._CFuncPtr) and not v._flags_ & ctypes._FUNCFLAG_PYTHONAPI}
     assert gil_free == {"_dtrmm", "_dtrsm", "_dsyrk"}
-    for name in ("dpotrf", "dpotrs", "dtrtri", "dsyevd"):
+    for name in ("dpotrf", "dpotrs", "dtrtri", "dsyevd", "dgetrf", "dtrtrs", "dlaswp"):
         assert getattr(_blas, name) is getattr(_blas._flapack, name)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve, lapack, solve_triangular
+from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve, cholesky, lapack
 
 from tylerlaw import (
     ChiRadius,
@@ -23,23 +23,16 @@ from tylerlaw import (
 TOL = 1e-9
 
 
-def reference_rhs(X, omega, work=None, whitened=None):
+def reference_rhs(X, omega, work=None):
     # the kernel with numpy's Gram product, symmetrized afterwards: the
     # oracle for estimators._tyler_rhs, with its signature (omega None is
-    # the identity; the reference needs no workspace).  With ``whitened`` it
-    # also leaves X^t L^{-t} there and returns log det omega, as the Newton
-    # fit asks
+    # the identity; the reference needs no workspace)
     d, n = X.shape
     omega = np.eye(d) if omega is None else omega
-    factor = cho_factor(omega, lower=True)
-    q = np.einsum("ij,ij->j", X, cho_solve(factor, X))
+    q = np.einsum("ij,ij->j", X, cho_solve(cho_factor(omega, lower=True), X))
     Y = X / np.sqrt(q)
     G = (d / n) * (Y @ Y.T)
-    G = 0.5 * (G + G.T)
-    if whitened is None:
-        return G
-    whitened[:] = solve_triangular(factor[0], X, lower=True).T
-    return G, 2.0 * np.log(np.diag(factor[0])).sum()
+    return 0.5 * (G + G.T)
 
 
 def f2py_whiten(X, omega):
@@ -348,14 +341,17 @@ class TestTyler:
             tyler(X)
         assert not exc.value.report.converged
 
-    @pytest.mark.parametrize("d, n", [(2, 3), (4, 6), (10, 15), (100, 120)])
-    def test_two_parallel_columns_break_the_condition_near_square(self, d, n):
+    @pytest.mark.parametrize("seed, d, n", [(1, 2, 3), (3, 2, 3), (6, 4, 6), (15, 10, 15), (120, 100, 120)])
+    def test_two_parallel_columns_break_the_condition_near_square(self, seed, d, n):
         # at n < 2d a line holding two columns holds more than n/d of the
         # points, so no shape solves the equation: the Newton iterate
         # degenerates until a step cannot be evaluated or the cap is
         # reached, and the fit raises NoConvergenceError, not LinAlgError or
-        # a RuntimeWarning (an error under pytest), and does not hang
-        X = np.random.default_rng(n).standard_normal((d, n))
+        # a RuntimeWarning (an error under pytest), and does not hang.  On
+        # the (2, 3) samples the weights grow apart until W^{-1/2} or the
+        # weight space's Gram overflows, which must count as a trial that
+        # cannot be evaluated, silently
+        X = np.random.default_rng(seed).standard_normal((d, n))
         X[:, 1] = -2.5 * X[:, 0]
         with pytest.raises(NoConvergenceError, match="no-convergence") as exc:
             tyler(X)
@@ -498,21 +494,6 @@ class TestTylerKernel:
             assert got.tobytes() == f2py_rhs(X, shape).tobytes()
         assert estimators._tyler_rhs(X, omega).tobytes() == got.tobytes()
 
-    @pytest.mark.parametrize("d, n", [(16, 1600), (100, 120)])
-    def test_whitened_evaluation_keeps_the_whitened_data(self, d, n):
-        # with ``whitened`` the map value keeps its bits, X^t L^{-t} is left
-        # there with f2py's bits, and log det omega comes with it; at the
-        # identity the whitened data is X^t and the log det 0
-        X, omega = self.pair(d, n)
-        whitened = np.full((n, d), np.nan, order="F")
-        value, logdet = estimators._tyler_rhs(X, omega, None, whitened)
-        assert value.tobytes() == estimators._tyler_rhs(X, omega).tobytes()
-        assert whitened.tobytes() == np.asfortranarray(f2py_whiten(X, omega)).tobytes()
-        assert abs(logdet - np.linalg.slogdet(omega)[1]) <= 1e-13 * d
-        value, logdet = estimators._tyler_rhs(X, None, None, whitened)
-        assert value.tobytes() == estimators._tyler_rhs(X, None).tobytes()
-        assert whitened.tobytes() == np.asfortranarray(X.T).tobytes() and logdet == 0.0
-
     @pytest.mark.parametrize("scales", ["none", "moderate", "extreme"])
     @pytest.mark.parametrize("d, n", [(3, 5), (16, 1600), (100, 120)])
     def test_identity_start_is_the_evaluation_at_the_identity(self, d, n, scales):
@@ -628,3 +609,92 @@ class TestTylerKernel:
         assert rep.iterations == ref.iterations
         assert np.linalg.norm(rep.estimate - ref.estimate) <= 10 * TOL * np.linalg.norm(ref.estimate)
 
+
+
+class TestWeightSpace:
+    """The near-square fit's trial evaluation in the n - d dimensions orthogonal to
+    the rows of U, the data scaled to unit columns, against the kernel's d-space
+    quantities on the same iterates."""
+
+    SAMPLES = {
+        "(100, 105)": lambda: np.random.default_rng(0).standard_normal((100, 105)),
+        "(100, 120)": lambda: np.random.default_rng(1).standard_normal((100, 120)),
+        "(64, 127)": lambda: np.random.default_rng(2).standard_normal((64, 127)),
+        "cauchy (6, 9)": lambda: cauchy_scaled_sample(3, 6, 9),
+    }
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_basis_spans_the_null_space(self, name):
+        # U B = 0 to the roundoff of the product (measured at most 4.1 eps
+        # of |U| |B| entrywise), so X diag(|X_j|^-1) B = 0, and B holds the
+        # rows of I_{n-d}, so |B v| >= |v|: its smallest singular value is at
+        # least 1, and its rank n - d
+        X = self.SAMPLES[name]()
+        d, n = X.shape
+        space = estimators._WeightSpace(X)
+        U, B = space.unit, space.basis
+        np.testing.assert_allclose(np.linalg.norm(U, axis=0), 1.0, rtol=1e-15)
+        assert B.shape == (n, n - d)
+        assert np.all(np.abs(U @ B) <= 16 * np.finfo(float).eps * (np.abs(U) @ np.abs(B)))
+        assert np.linalg.svd(B, compute_uv=False).min() >= 1 - 1e-12
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_evaluation_matches_the_kernel(self, name):
+        # at the fit's first trial point y = 0 and three log-weights moved by
+        # up to 2 from it: the leverages b_j |L^{-1} U_j|^2 from the kernel's
+        # whitened rows (T = U diag(b) U^t = L L^t), the relative residual
+        # tyler_residual(X, T) / ||T||_F, and differences of f against
+        # log det(U e^y U^t) = d max y + 2 sum log diag L(U e^{y - max y} U^t).
+        # Measured: h within 7.1e-14, the residual within 7.9e-15 relative,
+        # f's differences within 1.4e-13 (iterates of condition up to 2e4)
+        X = self.SAMPLES[name]()
+        d, n = X.shape
+        space = estimators._WeightSpace(X)
+        U = space.unit
+        rng = np.random.default_rng(5)
+        values = []
+        for y in [np.zeros(n)] + [rng.uniform(-2, 2, n) for _ in range(3)]:
+            relative, f, h = space.evaluate(y)
+            T = estimators._weighted_gram(U, y, np.empty((n, d), order="F"))
+            w = np.exp(y - y.max())
+            b = w * d / w.sum()
+            Z = f2py_whiten(U, T)
+            np.testing.assert_allclose(h, b * np.einsum("ij,ij->i", Z, Z), rtol=0, atol=1e-12)
+            assert abs(relative - tyler_residual(X, T) / np.linalg.norm(T)) <= 1e-12 * relative
+            L = cholesky((U * w) @ U.T, lower=True)
+            values.append((f, d * y.max() + 2 * np.log(np.diag(L)).sum() - (d / n) * y.sum()))
+        values = np.array(values)
+        np.testing.assert_allclose(values[1:, 0] - values[0, 0], values[1:, 1] - values[0, 1], rtol=0, atol=1e-11)
+
+    def test_overflowing_weights_are_not_evaluated(self):
+        # log-weights 1500 apart make W^{-1/2} overflow: the point is not
+        # evaluated, without a RuntimeWarning (an error under pytest)
+        y = np.zeros(9)
+        y[4] = 1500.0
+        assert estimators._WeightSpace(cauchy_scaled_sample(3, 6, 9)).evaluate(y) is None
+
+    @pytest.mark.parametrize("d, n", [(3, 5), (100, 120)])
+    def test_rank_deficient_data_ends_at_the_first_trial(self, d, n):
+        # a zero row puts every column in a hyperplane: the LU's last pivot
+        # is zero, the basis misses part of the null space, and no trial is
+        # evaluated, so the fit ends after the identity and one trial as the
+        # kernel's failed factor ended it (without the check, after 644-736
+        # evaluations that the kernel's re-measure rejected in turn)
+        X = np.random.default_rng(d).standard_normal((d, n))
+        X[-1] = 0.0
+        assert estimators._WeightSpace(X).evaluate(np.zeros(n)) is None
+        with pytest.raises(NoConvergenceError, match="lost positive definiteness") as exc:
+            tyler(X)
+        assert exc.value.report.iterations == 2
+
+    @pytest.mark.parametrize("exponent", [-256, -255, 252, 253, 254])
+    def test_fit_at_the_edges_of_the_unrescaled_range(self, exponent):
+        # columns times 2^exponent stay unrescaled (peaks up to 2^256), and
+        # K = (X^t X)∘(X^t X) of the raw data would overflow from 2^253 on
+        # at (100, 120): on unit columns the fit is where it was
+        X = np.random.default_rng(0).standard_normal((100, 120))
+        scaled = X * 2.0**exponent
+        assert np.array_equal(estimators._rescale_columns(scaled), scaled)
+        rep, ref = tyler(scaled), tyler(X)
+        assert rep.converged and rep.iterations == ref.iterations
+        assert np.linalg.norm(rep.estimate - ref.estimate) <= 10 * TOL * np.linalg.norm(ref.estimate)
