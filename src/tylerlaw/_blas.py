@@ -1,22 +1,16 @@
-"""dtrmm, dtrsm and dsyrk without the GIL, scipy's f2py wrappers of the other routines, and
-scipy's OpenBLAS thread count.
+"""dtrmm and dsyrk without the GIL, scipy's f2py wrappers of the other routines, and scipy's
+OpenBLAS thread count.
 
-ctypes for a routine whose cost grows with n, f2py for everything else.  dtrmm, dtrsm and
-dsyrk cost O(d^2 n) in the kernel (in a near-square fit's weight space, O(n (n - d)^2) and
-the Hessian's n x n Gram O(n^2 (n - d))), long enough that a held GIL would serialize
-parallel trials: each is called through its pointer in scipy's public Cython API by a
-ctypes function, which releases the GIL, with the arguments its f2py wrapper passes the
-same library, so it returns the same bits.  dpotrf, dtrtri, dsyevd and the Anderson step's
-calls work on (d, d) or smaller arrays, where f2py costs less per call (1.2-25 us less for
-the first three at d = 16-100 on 2 vCPUs).  The Newton fit runs only at n < 2d, where an
-(n, n) array is under 4x the size of the (d, d) factor, so its calls on them fall under
-the same rule: dpotrf and dpotrs on the Hessian, dgemv on the weight space's (n, n)
-matrix, dpotrf on its (n - d, n - d) Gram.  dgetrf, dtrtrs and dlaswp, which make the
-null-space basis from the (n, d) data, are f2py calls too: they run once per fit, not
-once per evaluation.  Near n = d these calls hold the GIL for much of a parallel trial
-(README, "Performance").  The three extension modules are loaded by spec from scipy's
-linalg directory: that skips ``scipy/linalg/__init__.py`` and the numpy submodules it
-imports (0.25 s, 11-13 MB)."""
+ctypes for a routine whose cost grows with n, f2py for everything else.  dtrmm and dsyrk cost
+O(d^2 n) in the kernel, long enough that a held GIL would serialize parallel trials: each is
+called through its pointer in scipy's public Cython API by a ctypes function, which releases
+the GIL, with the arguments its f2py wrapper passes the same library, so it returns the same
+bits.  dpotrf, dtrtri, dsyevd and the Anderson step's calls work on (d, d) or smaller arrays,
+where f2py costs less per call (1.2-25 us less for the first three at d = 16-100 on 2 vCPUs).
+dgetrf, dtrtrs and dlaswp, which make a near-square fit's null-space basis from the (n, d)
+data, are f2py calls too: they run once per fit, not once per evaluation.  The three extension
+modules are loaded by spec from scipy's linalg directory: that skips
+``scipy/linalg/__init__.py`` and the numpy submodules it imports (0.25 s, 11-13 MB)."""
 
 import ctypes
 import importlib.machinery
@@ -36,7 +30,7 @@ def _linalg_extension(name):
 
 cython_blas, _fblas, _flapack = map(_linalg_extension, ("cython_blas", "_fblas", "_flapack"))
 ddot, dgemm, dgemv, dgelss = _fblas.ddot, _fblas.dgemm, _fblas.dgemv, _flapack.dgelss
-dpotrf, dpotrs, dtrtri, dsyevd = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtri, _flapack.dsyevd
+dpotrf, dtrtri, dsyevd = _flapack.dpotrf, _flapack.dtrtri, _flapack.dsyevd
 dgetrf, dtrtrs, dlaswp = _flapack.dgetrf, _flapack.dtrtrs, _flapack.dlaswp
 
 _name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
@@ -53,7 +47,7 @@ def _bind(name):
     return ctypes.CFUNCTYPE(None, *argtypes)(_pointer(capsule, _name(capsule)))
 
 
-_dtrmm, _dtrsm, _dsyrk = map(_bind, ("dtrmm", "dtrsm", "dsyrk"))
+_dtrmm, _dsyrk = map(_bind, ("dtrmm", "dsyrk"))
 _INT, _ONE, _ZERO = ctypes.c_int, ctypes.c_double(1.0), ctypes.c_double(0.0)
 
 
@@ -66,37 +60,24 @@ def _at(a):
         return a.ctypes.data_as(_ARGTYPES["d"])
 
 
-def _right_triangular(routine, a, b):
-    # b <- b op(a^t) in place from a's lower triangle, for dtrmm (op the product) and dtrsm (the solve)
+def dtrmm(a, b):
+    """f2py's ``dtrmm(1.0, a, b, side=1, lower=1, trans_a=1)`` in place: b <- b a^t from a's
+    lower triangle, b a writable Fortran-ordered float64 buffer."""
     m, n = b.shape
     a = np.asfortranarray(a, np.float64)
     if a.shape != (n, n):
         raise ValueError(f"expected a ({n}, {n}) triangle, got shape {a.shape}")
     if not (b.dtype == np.float64 and b.flags.f_contiguous and b.flags.writeable):
         raise ValueError("expected a writable Fortran-ordered float64 buffer")
-    routine(b"R", b"L", b"T", b"N", _INT(m), _INT(n), _ONE, _at(a), _INT(n or 1), _at(b), _INT(m or 1))
+    _dtrmm(b"R", b"L", b"T", b"N", _INT(m), _INT(n), _ONE, _at(a), _INT(n or 1), _at(b), _INT(m or 1))
 
 
-def dtrmm(a, b):
-    """f2py's ``dtrmm(1.0, a, b, side=1, lower=1, trans_a=1)`` in place: b <- b a^t from a's
-    lower triangle, b a writable Fortran-ordered float64 buffer."""
-    _right_triangular(_dtrmm, a, b)
-
-
-def dtrsm(a, b):
-    """f2py's ``dtrsm(1.0, a, b, side=1, lower=1, trans_a=1)`` in place: b <- b a^{-t} from a's
-    lower triangle, b a writable Fortran-ordered float64 buffer."""
-    _right_triangular(_dtrsm, a, b)
-
-
-def dsyrk(a, trans=1):
-    """f2py's ``dsyrk(1.0, a, trans=trans)``: a^t a (trans 1) or a a^t (trans 0) in the upper
-    triangle, zeros below."""
+def dsyrk(a):
+    """f2py's ``dsyrk(1.0, a, trans=1)``: a^t a in the upper triangle, zeros below."""
     a = np.asfortranarray(a, np.float64)
-    lda = a.shape[0]
-    k, n = a.shape if trans else a.shape[::-1]
+    k, n = a.shape
     c = np.zeros((n, n), order="F")
-    _dsyrk(b"U", b"T" if trans else b"N", _INT(n), _INT(k), _ONE, _at(a), _INT(lda or 1), _ZERO, _at(c), _INT(n or 1))
+    _dsyrk(b"U", b"T", _INT(n), _INT(k), _ONE, _at(a), _INT(k or 1), _ZERO, _at(c), _INT(n or 1))
     return c
 
 

@@ -25,19 +25,10 @@ _COND_LIMIT = 1e14
 _EXPONENT_LIMIT = 256
 # Anderson acceleration combines the last this many steps (Walker & Ni 2011).
 _ANDERSON_DEPTH = 5
-# Below this many observations per dimension the fit takes Newton steps on the
-# log-weights and the kernel whitens by a triangular solve; from it on, Anderson
-# steps and the inverted factor (README, "Performance": the crossover table).
-_NEWTON_RATIO = 2
-# Armijo's sufficient-decrease fraction, and the step length below which a
-# Newton line search gives way to the plain map step.
-_ARMIJO = 1e-4
-_MIN_STEP = 1 / 32
-# The most a Newton step moves any log-weight.  Unscaled, the first step at
-# n = d + 1 moved some by hundreds, onto a numerically singular iterate whose
-# f read a spurious decrease.  On small near-square samples 2 took the fewest
-# evaluations of 0.5-4, and 4 let some fits fail.
-_MAX_STEP = 2.0
+# Below this many observations per dimension the fit solves the complementary
+# problem of n points in n - d dimensions first, which has more than two
+# points per dimension (README, "Numerical conventions").
+_COMPLEMENT_RATIO = 2
 
 
 class NoConvergenceError(RuntimeError):
@@ -58,24 +49,27 @@ class TylerReport:
         Symmetric (d, d) scatter estimate with trace d (also on failure).
     iterations : int
         Number of evaluations of the fixed-point map, including those of
-        rejected extrapolations and of the plain steps that replace them,
-        and every trial point of a Newton line search, rejected or not.
+        rejected extrapolations and of the plain steps that replace them;
+        below n = 2d the complementary problem's evaluations count too.
     residual : float
         Frobenius norm of the fixed-point defect ||F(T) - T||_F of the
-        returned estimate, from the kernel's map evaluation of it (below
-        n = 2d a re-measure of the returned iterate, so it equals
-        ``tyler_residual(X, estimate)``); ``inf`` when the estimate cannot be
-        Cholesky-factored or its map value is not finite (the fit then
+        returned estimate, from the kernel's map evaluation of it, so it
+        equals ``tyler_residual(X, estimate)``; ``inf`` when the estimate
+        cannot be Cholesky-factored or its map value is not finite, or the
+        complementary problem lost positive definiteness (the fit then
         raises NoConvergenceError).
     converged : bool
-        Whether ``residual <= tol * ||estimate||_F``: the shape equation is
-        solved to ``tol``.
+        Whether the stop rule ``residual <= tol * ||estimate||_F`` was met:
+        the shape equation is solved to ``tol``.  A fit capped in the
+        complementary problem is not converged, even when its residual
+        meets ``tol``.
     step_history : tuple of float
         Relative residual ||F(T) - T||_F / ||T||_F of each evaluated
         iterate, one entry per map evaluation (``inf`` for one that could
-        not be evaluated).  Below n = 2d every entry after the first comes
-        from the weight-space evaluation, which agrees with the kernel's to
-        roundoff.
+        not be evaluated).  Below n = 2d the entries after the first, the
+        identity's, are the complementary problem's relative residuals
+        ||F(S) - S||_F / ||S||_F until the kernel's first measure of the
+        mapped estimate, and those of X's map again from there.
     """
 
     estimate: np.ndarray = field(compare=False)
@@ -134,14 +128,10 @@ def _gram(Y: np.ndarray) -> np.ndarray:
     return G
 
 
-def _tyler_rhs(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate (d/n) * sum_j X_j X_j^t / (X_j^t omega^{-1} X_j), omega None the identity, in
-    ``work``: an (n, d) Fortran-ordered array it overwrites, fresh when None, one per fit in ``tyler``."""
-    d, n = X.shape
-    # the workspace holds X^t, then Z = X^t L^{-t} (L omega's Cholesky
-    # factor), whose row j is (L^{-1} X_j)^t, then (X / sqrt(q))^t: the
-    # evaluation makes no (d, n) temporary
-    work = np.empty((n, d), order="F") if work is None else work
+def _quadratic_forms(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray) -> np.ndarray:
+    """The n quadratic forms X_j^t omega^{-1} X_j, omega None the identity, made in ``work``: an
+    (n, d) Fortran-ordered array it overwrites, left holding Z = X^t L^{-t} (L omega's Cholesky
+    factor), whose row j is (L^{-1} X_j)^t."""
     np.copyto(work, X.T)
     if omega is not None:
         # no finiteness scans: X has passed `_as_data_matrix`, and omega is an
@@ -150,19 +140,24 @@ def _tyler_rhs(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray | None 
         if info != 0:
             raise LinAlgError(f"omega is not positive definite (dpotrf info {info})")
         # X_j^t omega^{-1} X_j = |L^{-1} X_j|^2, made in place from the right
-        # on X^t.  Near n = d by one triangular solve, which costs less than
-        # the inverse and a product (91 us against 138 us at (100, 120) on 2
-        # vCPUs); from n = 2d on by the inverted factor and one triangular
-        # product (in scipy's OpenBLAS 2-3x faster than the solve when
-        # n >> d).  At the identity L^{-1} = I, so Z is X^t itself
-        if n < _NEWTON_RATIO * d:
-            _blas.dtrsm(L, work)
-        else:
-            L, info = _blas.dtrtri(L, lower=1)
-            if info != 0:
-                raise LinAlgError(f"omega's Cholesky factor is singular (dtrtri info {info})")
-            _blas.dtrmm(L, work)
-    np.divide(X.T, np.sqrt(np.einsum("ij,ij->i", work, work))[:, None], out=work)
+        # on X^t by the inverted factor and one triangular product (in scipy's
+        # OpenBLAS 2-3x faster than a triangular solve when n >> d).  At the
+        # identity L^{-1} = I, so Z is X^t itself
+        L, info = _blas.dtrtri(L, lower=1)
+        if info != 0:
+            raise LinAlgError(f"omega's Cholesky factor is singular (dtrtri info {info})")
+        _blas.dtrmm(L, work)
+    return np.einsum("ij,ij->i", work, work)
+
+
+def _tyler_rhs(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate (d/n) * sum_j X_j X_j^t / (X_j^t omega^{-1} X_j), omega None the identity, in
+    ``work``: an (n, d) Fortran-ordered array it overwrites, fresh when None, one per fit in ``tyler``."""
+    d, n = X.shape
+    # the workspace holds X^t, then Z, then (X / sqrt(q))^t: the evaluation
+    # makes no (d, n) temporary
+    work = np.empty((n, d), order="F") if work is None else work
+    np.divide(X.T, np.sqrt(_quadratic_forms(X, omega, work))[:, None], out=work)
     return _gram(work.T) * (d / n)
 
 
@@ -180,17 +175,15 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     extrapolated iterate that cannot be Cholesky-factored, has a non-finite
     map value or a larger relative residual than the last accepted iterate
     is replaced by the plain map step from that iterate, and the history is
-    cleared.  For n < 2d every iterate after the identity is X e^y X^t
-    scaled to trace d, and damped Newton steps on the n log-weights y
-    minimize the convex f(y) = log det(X e^y X^t) - (d/n) sum(y), whose
-    stationary points are the solutions, each step moving no log-weight by
-    more than 2; each trial point of the backtracking line search is a map
-    evaluation, made in the n - d dimensions orthogonal to the rows of the
-    data scaled to unit columns.
-    Both stop on one rule, ||F(T) - T||_F <= tol * ||T||_F, measured on the
-    map evaluation they already make, and return the iterate measured; below
-    2d the kernel re-measures the returned iterate, and its residual decides
-    (if it misses ``tol`` while evaluations remain, the fit goes on).  The
+    cleared.  For n < 2d the same iteration first solves the complementary
+    problem: the shape equation of the n rows b_j of a basis B of the null
+    space of U, the data scaled to unit columns, in n - d dimensions.  Its
+    solution S gives the weights w_j = b_j^t S^{-1} b_j, and U diag(w) U^t
+    solves the shape equation of X (the hat matrices of W^{1/2} U^t and
+    W^{-1/2} B add up to I), so the iteration goes on from it, scaled to
+    trace d, and usually stops at its first evaluation.
+    Each stops on one rule, ||F(T) - T||_F <= tol * ||T||_F, measured on the
+    map evaluation it already makes, and returns the iterate measured.  The
     estimator is invariant under rescaling any column by a nonzero scalar,
     so it is distribution-free over generalized spherical (and elliptical)
     populations; columns of extreme scale are rescaled by exact powers of
@@ -203,7 +196,7 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     tol : float
         Relative Frobenius residual tolerance (finite, > 0).
     max_iter : int
-        Cap on map evaluations (>= 1), line-search trials included.
+        Cap on map evaluations (>= 1), the complementary problem's included.
 
     Returns
     -------
@@ -217,7 +210,9 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         ("zero-column"), an entry is nan or inf ("non-finite-entry"), or
         ``tol`` or ``max_iter`` is out of range.
     NoConvergenceError
-        If the cap is reached before the residual meets ``tol``, or a plain
+        If the cap is reached before the residual meets ``tol`` (a cap reached
+        in the complementary problem raises too, with the kernel's residual
+        of the mapped iterate, which may already meet ``tol``), or a plain
         map step cannot be evaluated (the iterate lost positive
         definiteness, residual ``inf``); carries the partial report (trace
         still d).  Columns concentrated on a subspace end either way.
@@ -230,7 +225,7 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if n < d or n == d > 1:  # at n = d > 1 every X D X^t, D > 0 diagonal, solves the equation
         raise ValueError(f"dimension-exceeds-sample: Tyler's estimator requires n > d, got d={d}, n={n}")
-    fit = _newton_fit if n < _NEWTON_RATIO * d else _anderson_fit
+    fit = _complement_fit if n < _COMPLEMENT_RATIO * d else _anderson_fit
     return fit(_rescale_columns(X), tol, max_iter)
 
 
@@ -278,14 +273,18 @@ def _result(omega, steps, residual, relative, tol, max_iter):
     return _report(omega, steps, residual, True)
 
 
-def _anderson_fit(X, tol, max_iter):
-    # Anderson-accelerated map iteration from the identity on a checked,
-    # rescaled X (see ``tyler``)
+def _anderson_fit(X, tol, max_iter, steps=None, omega=None):
+    # Anderson-accelerated map iteration on a checked, rescaled X (see
+    # ``tyler``) from omega, the identity when None, appending each
+    # evaluation's relative residual to ``steps``, which max_iter caps
     d, n = X.shape
     work = np.empty((n, d), order="F")  # the kernel's workspace, reused by every evaluation
-    steps: list[float] = []
-    omega = np.eye(d)
-    mapped, residual = _evaluate(X, omega, steps, work, start=True)
+    steps = [] if steps is None else steps
+    start = omega is None
+    omega = np.eye(d) if start else omega
+    mapped, residual = _evaluate(X, omega, steps, work, start=start)
+    if mapped is None:
+        raise _lost_definiteness(omega, steps)
     defect = mapped - omega
     relative = steps[-1]
     # Anderson history of the accepted iterates: rows of differences of
@@ -335,157 +334,66 @@ def _anderson_fit(X, tol, max_iter):
     return _result(omega, steps, residual, relative, tol, max_iter)
 
 
-def _newton_fit(X, tol, max_iter):
-    # damped Newton iteration from the identity on a checked, rescaled X (see
-    # ``tyler``).  Every iterate after the identity is U e^y U^t at trace d,
-    # U the data scaled to unit columns, and the kernel evaluates only the
-    # identity and the iterate returned: each trial point is evaluated in
-    # weight space (``_WeightSpace``).  The first is the plain map step from
-    # the identity, y = 0, since F(I) is proportional to U U^t; each later one
-    # is a Newton trial y + t delta, t = 1, 1/2, ..., accepted when f falls
-    # by Armijo's fraction of the predicted decrease or the map residual
-    # falls (near the solution f's change is below its roundoff).  A Hessian
-    # that cannot be factored, or a line search that reaches _MIN_STEP, takes
-    # the plain map step y - log h from the accepted iterate instead.  When
-    # the residual meets tol or the cap is reached, the kernel re-measures the
-    # accepted iterate, and its residual decides: if it misses tol while
-    # evaluations remain, the loop goes on
+def _complement_fit(X, tol, max_iter):
+    # the near-square fit (n < 2d) on a checked, rescaled X (see ``tyler``):
+    # the kernel's evaluation of the identity, the Anderson fit of the
+    # complementary problem, whose evaluations count against the same cap,
+    # then the Anderson fit of X from the mapped solution.  A cap reached in
+    # the complementary problem ends the fit with the kernel's residual of
+    # the mapped iterate, a measure that is not an evaluation of the fit
     d, n = X.shape
     work = np.empty((n, d), order="F")
     steps: list[float] = []
-    omega = np.eye(d)
-    _, residual = _evaluate(X, omega, steps, work, start=True)
-    relative = steps[-1]
-    if relative <= tol or len(steps) >= max_iter:
-        return _result(omega, steps, residual, relative, tol, max_iter)
-    space = _WeightSpace(X)
-    plain, delta, stepped = np.zeros(n), None, True
-    while True:
-        while relative > tol and len(steps) < max_iter:
-            if not stepped:
-                # the Newton step of the point just accepted (``rows`` still
-                # holds it), taken only when the loop goes on past it
-                delta, slope = _newton_step(space.rows, h)
-                t, stepped = 1.0, True
-            trial = plain if delta is None else y + t * delta
-            point = space.evaluate(trial)
-            evaluated = point is not None
-            steps.append(point[0] if evaluated else math.inf)
-            if delta is not None and not (evaluated and (point[1] <= f + _ARMIJO * t * slope or steps[-1] < relative)):
-                t *= 0.5
-                if t < _MIN_STEP:
-                    delta = None
-                continue
-            if not evaluated:
-                raise _lost_definiteness(_weighted_gram(space.unit, trial, work), steps)
-            y, (relative, f, h) = trial, point
-            plain, stepped = y - np.log(h), False
-        omega = _weighted_gram(space.unit, y, work)
-        measured: list[float] = []  # the kernel's relative residual, not an evaluation of the fit
-        _, residual = _evaluate(X, omega, measured, work)
-        if residual == math.inf:
-            raise _lost_definiteness(omega, steps)
-        relative = measured[0]
-        if relative <= tol or len(steps) >= max_iter:
-            return _result(omega, steps, residual, relative, tol, max_iter)
+    identity = np.eye(d)
+    _, residual = _evaluate(X, identity, steps, work, start=True)
+    if steps[0] <= tol or max_iter == 1:
+        return _result(identity, steps, residual, steps[0], tol, max_iter)
+    unit = X / np.sqrt(np.einsum("ij,ij->j", X, X))
+    basis = _null_basis(unit)
+    if basis is None:
+        raise _lost_definiteness(identity, steps)
+    try:
+        shape = _anderson_fit(basis.T, tol, max_iter, steps).estimate
+    except NoConvergenceError as exc:
+        if exc.report.residual == math.inf:
+            raise _lost_definiteness(identity, steps) from None
+        shape = exc.report.estimate
+    weights = _quadratic_forms(basis.T, shape, np.empty_like(basis, order="F"))
+    omega = _weighted_gram(unit, weights, work)
+    if len(steps) < max_iter:
+        return _anderson_fit(X, tol, max_iter, steps, omega)
+    _, residual = _evaluate(X, omega, [], work)
+    return _result(omega, steps, residual, math.inf, tol, max_iter)  # capped: raises whatever the residual
 
 
-def _weighted_gram(X, y, work):
-    # the iterate of log-weights y, X e^y X^t scaled to trace d.  The weights
-    # are taken as e^(y - max y) <= 1, which cannot overflow
-    d = X.shape[0]
-    np.multiply(X.T, np.exp(0.5 * (y - y.max()))[:, None], out=work)
+def _null_basis(unit):
+    # an (n, n - d) basis B of the null space of the (d, n) unit, or None
+    # when the fit cannot go on from it.  P U^t = L R, L = [L1; L2] unit
+    # lower trapezoidal, so U B = 0 for B = P^t [-L1^{-t} L2^t; I], of rank
+    # n - d by its identity block.  A singular R means X has rank below d, and
+    # a zero row b_j means U_j is outside the span of the other columns; in
+    # either case no shape solves the equation.  A row within n eps of the
+    # longest (data with such a row measured 4e-17; random samples no
+    # shorter than 8e-5 of it), or any row when one is not finite, counts as
+    # zero
+    d, n = unit.shape
+    lu, pivots, info = _blas.dgetrf(unit.T)
+    top, _ = _blas.dtrtrs(lu, lu[d:].T, lower=1, trans=1, unitdiag=1)
+    basis = _blas.dlaswp(np.vstack([-top, np.eye(n - d)]), pivots, inc=-1)
+    norms = np.einsum("ij,ij->i", basis, basis)
+    if info != 0 or not np.all(norms > (n * np.finfo(float).eps) ** 2 * norms.max()):
+        return None
+    return basis
+
+
+def _weighted_gram(U, w, work):
+    # U diag(w) U^t scaled to trace d, for positive weights w; taken as
+    # w / max w <= 1, which cannot overflow
+    d = U.shape[0]
+    np.multiply(U.T, np.sqrt(w / w.max())[:, None], out=work)
     omega = _gram(work.T)
     omega *= d / np.trace(omega)
     return omega
-
-
-class _WeightSpace:
-    """Tyler's map at the iterates T = U diag(b) U^t, b proportional to e^y, of one
-    fit, evaluated in the n - d dimensions orthogonal to the rows of U, the data
-    scaled to unit columns (which leaves the fit where it was).
-
-    With W = e^y, the hat matrix P of W^{1/2} U^t has I - P = V M^{-1} V^t for
-    V = W^{-1/2} B, B a basis of U's null space and M = V^t V, so the
-    leverages are h = diag(P) = b_j U_j^t T^{-1} U_j, and F(T) = U diag(a) U^t
-    with a = (d/n) b / h.  Both matrices are combinations of the rank-one
-    U_j U_j^t, so ||F(T) - T||_F^2 = D^t K D with D = a - b and
-    K = (U^t U)∘(U^t U).  Jacobi's complementary-minor identity gives
-    log det(U W U^t) = sum(y) + log det(B^t W^{-1} B) + a constant.  A trial
-    point then costs O(n (n - d)^2) where the kernel's costs O(d^2 n).  Unit
-    columns keep K, a fourth power of the data, finite at every column scale
-    the fit leaves unrescaled."""
-
-    def __init__(self, X):
-        d, n = X.shape
-        self.unit = X / np.sqrt(np.einsum("ij,ij->j", X, X))
-        # P U^t = L R, L = [L1; L2] unit lower trapezoidal, so U B = 0 for
-        # B = P^t [-L1^{-t} L2^t; I], of rank n - d by its identity block.  A
-        # singular R means X has rank below d; no iterate is then evaluated
-        lu, pivots, info = _blas.dgetrf(self.unit.T)
-        top, _ = _blas.dtrtrs(lu, lu[d:].T, lower=1, trans=1, unitdiag=1)
-        self.basis = _blas.dlaswp(np.vstack([-top, np.eye(n - d)]), pivots, inc=-1)
-        self.singular = info != 0
-        # K; it is symmetric, and its transpose is the Fortran-ordered view
-        # that f2py's dgemv takes without a copy
-        self.kernel = np.square(_gram(self.unit.T)).T
-        self.rows = np.empty_like(self.basis, order="F")  # V, orthonormalized in place
-
-    def evaluate(self, y):
-        # (relative residual ||F(T) - T||_F / ||T||_F, f(y) up to a constant,
-        # h) at log-weights y, leaving V C^{-1} in ``rows`` (M = C^t C, so its
-        # columns are orthonormal and I - P = rows rows^t); None when the
-        # point cannot be evaluated: W^{-1/2} or M overflows, M cannot be
-        # factored, or a leverage is not in (0, 1].  Overflow and its nan are
-        # found by the checks, so numpy's warnings are off
-        n, m = self.basis.shape
-        d = n - m
-        top = y.max()
-        with np.errstate(all="ignore"):
-            np.multiply(self.basis, np.exp(0.5 * (top - y))[:, None], out=self.rows)
-            factor, info = _blas.dpotrf(_blas.dsyrk(self.rows).T, lower=1, clean=0)
-            _blas.dtrsm(factor, self.rows)
-            h = 1.0 - np.einsum("ij,ij->i", self.rows, self.rows)
-            w = np.exp(y - top)
-            b = w * (d / w.sum())  # trace d: the columns are unit vectors
-            gap = (d / n) * b / h - b
-            # D^t K D >= 0, but roundoff can take a near-zero one below
-            relative = math.sqrt(max(self._quadratic(gap), 0.0) / self._quadratic(b))
-            # f(y) = log det(U e^y U^t) - (d/n) sum(y), with
-            # log det(B^t W^{-1} B) = log det M - (n - d) max y
-            value = (1.0 - d / n) * float(y.sum()) - m * top + 2.0 * float(np.log(np.diagonal(factor)).sum())
-        if self.singular or info != 0 or not (math.isfinite(relative) and math.isfinite(value) and h.min() > 0):
-            return None
-        return relative, value, h
-
-    def _quadratic(self, v):
-        return ddot(v, dgemv(1.0, self.kernel, v))
-
-
-def _newton_step(V, h):
-    # the Newton step delta of f(y) = log det(X e^y X^t) - (d/n) sum(y) and
-    # the slope g^t delta, from the leverages h and the orthonormal V with
-    # I - P = V V^t (see ``_WeightSpace``); (None, nan) when the Hessian
-    # cannot be factored or the step is not a descent direction.  The
-    # gradient is g = h - d/n and the Hessian diag(h) - P∘P: a weighted
-    # Laplacian with null vector 1, so adding 11^t / n makes it positive
-    # definite and leaves delta orthogonal to 1, the direction f does not
-    # change along.  Off the diagonal P∘P = (V V^t)∘(V V^t), and on it h^2
-    n = h.size
-    hessian = _blas.dsyrk(V, trans=0)  # I - P, upper triangle
-    np.square(hessian, out=hessian)
-    np.subtract(1.0 / n, hessian, out=hessian)
-    hessian.flat[:: n + 1] = h * (1.0 - h) + 1.0 / n
-    factor, info = _blas.dpotrf(hessian, clean=0, overwrite_a=1)
-    if info != 0:
-        return None, math.nan
-    g = h - (n - V.shape[1]) / n
-    delta, info = _blas.dpotrs(factor, g)
-    delta *= -1.0 / max(1.0, np.abs(delta).max() / _MAX_STEP)
-    slope = ddot(g, delta)
-    if info != 0 or not -math.inf < slope < 0:
-        return None, math.nan
-    return delta, slope
 
 
 def _dot(A: np.ndarray, B: np.ndarray) -> float:

@@ -1,14 +1,13 @@
 """The ctypes wrappers of ``tylerlaw._blas`` against scipy's f2py wrappers.
 
-Only the three kernels whose cost grows with n, ``dtrmm``, ``dtrsm`` (the
-near-square whitening) and ``dsyrk``, run through ctypes, so that parallel
-trials run them without the GIL.  dpotrf, dtrtri and dsyevd work on (d, d)
-matrices, where f2py was 1.2-25 us per call faster on 2 vCPUs at d = 16-100,
-so they are scipy's f2py wrappers, guarded at their call sites in
-``test_estimators`` and ``test_spectral``, and so are dpotrf and dpotrs on the
-Newton step's n x n Hessian, which exists only at n < 2d, and dgetrf, dtrtrs
-and dlaswp, which make a near-square fit's null-space basis once per fit; the
-README's "Performance" section has what that costs parallel trials.  Each ctypes
+Only the two kernels whose cost grows with n, ``dtrmm`` and ``dsyrk``, run
+through ctypes, so that parallel trials run them without the GIL.  dpotrf,
+dtrtri and dsyevd work on (d, d) matrices, where f2py was 1.2-25 us per call
+faster on 2 vCPUs at d = 16-100, so they are scipy's f2py wrappers, guarded at
+their call sites in ``test_estimators`` and ``test_spectral``, and so are
+dgetrf, dtrtrs and dlaswp, which make a near-square fit's null-space basis once
+per fit; the README's "Performance" section has what that costs parallel
+trials.  Each ctypes
 wrapper promises the bits of the f2py call it replaces.  ctypes passes raw
 pointers, so a layout mistake would be a silent wrong answer: each is also
 fed C-ordered, strided, integer and read-only inputs, which f2py turns into
@@ -52,19 +51,11 @@ def f2py_dtrmm(a, b):
     return blas.dtrmm(1.0, a, b, side=1, lower=1, trans_a=1)
 
 
-def f2py_dtrsm(a, b):
-    return blas.dtrsm(1.0, a, b, side=1, lower=1, trans_a=1)
-
-
-def buffer_dtrmm(a, b, routine=_blas.dtrmm):
-    # the in-place product (or solve) on f2py's Fortran-ordered float64 copy of b
+def buffer_dtrmm(a, b):
+    # the in-place product on f2py's Fortran-ordered float64 copy of b
     b = np.array(b, np.float64, order="F")
-    routine(a, b)
+    _blas.dtrmm(a, b)
     return b
-
-
-def buffer_dtrsm(a, b):
-    return buffer_dtrmm(a, b, _blas.dtrsm)
 
 
 @pytest.mark.parametrize("d, n", SHAPES, ids=lambda v: str(v))
@@ -72,10 +63,7 @@ def test_kernel_routines_match_f2py_bit_for_bit(d, n):
     X, _, L = kernel_inputs(d, n)
     Linv = lapack.dtrtri(L, lower=1)[0]
     assert_same_bits(buffer_dtrmm(Linv, X.T), f2py_dtrmm(Linv, X.T))
-    assert_same_bits(buffer_dtrsm(L, X.T), f2py_dtrsm(L, X.T))
     assert_same_bits(_blas.dsyrk(X.T), blas.dsyrk(1.0, X.T, trans=1))
-    # the n x n Gram product, as the Newton step takes it on the weight space's rows
-    assert_same_bits(_blas.dsyrk(X.T, trans=0), blas.dsyrk(1.0, X.T, trans=0))
 
 
 def layouts(M):
@@ -103,25 +91,23 @@ def test_wrappers_take_any_layout_as_f2py_does(layout):
     L = np.tril(rng.integers(1, 9, size=(5, 5))).astype(float)
     L_in, Xt_in = (layouts(M)[layout] for M in (L, B.T))
     assert_same_bits(buffer_dtrmm(L_in, Xt_in), f2py_dtrmm(L_in, Xt_in))
-    assert_same_bits(buffer_dtrsm(L_in, Xt_in), f2py_dtrsm(L_in, Xt_in))
     assert_same_bits(_blas.dsyrk(Xt_in), blas.dsyrk(1.0, Xt_in, trans=1))
-    assert_same_bits(_blas.dsyrk(Xt_in, trans=0), blas.dsyrk(1.0, Xt_in, trans=0))
 
 
 def test_empty_matrices_match_f2py():
     empty = np.zeros((0, 0))
-    for ours, theirs in ((buffer_dtrmm, f2py_dtrmm), (buffer_dtrsm, f2py_dtrsm)):
-        assert_same_bits(ours(empty, np.zeros((5, 0))), theirs(empty, np.zeros((5, 0))))
-        assert_same_bits(ours(np.eye(3), np.zeros((0, 3))), theirs(np.eye(3), np.zeros((0, 3))))
+    assert_same_bits(buffer_dtrmm(empty, np.zeros((5, 0))), f2py_dtrmm(empty, np.zeros((5, 0))))
+    assert_same_bits(buffer_dtrmm(np.eye(3), np.zeros((0, 3))), f2py_dtrmm(np.eye(3), np.zeros((0, 3))))
 
 
-@pytest.mark.parametrize("routine", [_blas.dtrmm, _blas.dtrsm], ids=["dtrmm", "dtrsm"])
+# the one triangular routine through ctypes; its test ids name it
+@pytest.mark.parametrize("routine", [_blas.dtrmm], ids=["dtrmm"])
 def test_triangular_routines_check_the_triangle_shape_before_the_call(routine):
     with pytest.raises(ValueError, match=r"\(4, 4\) triangle, got shape \(3, 3\)"):
         routine(np.eye(3), np.ones((5, 4), order="F"))
 
 
-@pytest.mark.parametrize("routine", [_blas.dtrmm, _blas.dtrsm], ids=["dtrmm", "dtrsm"])
+@pytest.mark.parametrize("routine", [_blas.dtrmm], ids=["dtrmm"])
 @pytest.mark.parametrize("layout", [k for k in LAYOUTS if k != "fortran"])
 def test_triangular_routines_reject_a_buffer_they_cannot_overwrite(layout, routine):
     # through ctypes a C-ordered, strided or integer buffer would be read as
@@ -135,15 +121,15 @@ def test_triangular_routines_reject_a_buffer_they_cannot_overwrite(layout, routi
 
 def test_kernels_release_the_gil():
     # a ctypes function made with PYFUNCTYPE (FUNCFLAG_PYTHONAPI) keeps the GIL;
-    # the three kernels whose cost grows with n are the only ones that release it
+    # the two kernels whose cost grows with n are the only ones that release it
     gil_free = {k for k, v in vars(_blas).items() if isinstance(v, ctypes._CFuncPtr) and not v._flags_ & ctypes._FUNCFLAG_PYTHONAPI}
-    assert gil_free == {"_dtrmm", "_dtrsm", "_dsyrk"}
-    for name in ("dpotrf", "dpotrs", "dtrtri", "dsyevd", "dgetrf", "dtrtrs", "dlaswp"):
+    assert gil_free == {"_dtrmm", "_dsyrk"}
+    for name in ("dpotrf", "dtrtri", "dsyevd", "dgetrf", "dtrtrs", "dlaswp"):
         assert getattr(_blas, name) is getattr(_blas._flapack, name)
 
 
 def test_concurrent_kernels_match_serial_bit_for_bit():
-    # near-square inputs whiten by dtrsm, the others by dtrtri and dtrmm
+    # near-square inputs and tall ones, each whitened by dtrtri and dtrmm
     inputs = [kernel_inputs(d, int(k * d), seed)[:2] for seed, (d, k) in enumerate([(8, 25), (16, 25), (24, 1.5), (32, 1.25)] * 2)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

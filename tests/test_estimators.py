@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve, cholesky, lapack
+from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve, lapack
 
 from tylerlaw import (
     ChiRadius,
@@ -35,21 +35,13 @@ def reference_rhs(X, omega, work=None):
     return 0.5 * (G + G.T)
 
 
-def f2py_whiten(X, omega):
-    # X^t L^{-t} by the kernel's steps in scipy's f2py wrappers: below n = 2d
-    # one triangular solve, from n = 2d on the inverted factor and a product
-    d, n = X.shape
-    L = lapack.dpotrf(omega, lower=1, clean=0)[0]
-    if n < 2 * d:
-        return blas.dtrsm(1.0, L, X.T, side=1, lower=1, trans_a=1)
-    return blas.dtrmm(1.0, lapack.dtrtri(L, lower=1)[0], X.T, side=1, lower=1, trans_a=1)
-
-
 def f2py_rhs(X, omega):
     # the kernel's steps made with scipy's f2py wrappers and numpy: the bits
-    # estimators._tyler_rhs promises
+    # estimators._tyler_rhs promises.  Z = X^t L^{-t} by the inverted factor
+    # and a triangular product
     d, n = X.shape
-    Z = f2py_whiten(X, omega)
+    L = lapack.dpotrf(omega, lower=1, clean=0)[0]
+    Z = blas.dtrmm(1.0, lapack.dtrtri(L, lower=1)[0], X.T, side=1, lower=1, trans_a=1)
     Y = X / np.sqrt(np.einsum("ij,ij->i", Z, Z))
     G = blas.dsyrk(1.0, Y.T, trans=1)
     G = G + G.T
@@ -115,8 +107,9 @@ class TestTyler:
         assert rep.converged
 
     def test_one_by_one_converges_at_the_first_evaluation(self):
-        # (1, 1) is below n = 2d, so the Newton fit runs it; the identity
-        # start is its fixed point, exactly
+        # (1, 1) is below n = 2d, so the complement fit runs it; the identity
+        # start is its fixed point, exactly, and the fit ends there before the
+        # complementary problem, which would have no dimensions
         rep = tyler(np.array([[-7.0]]))
         assert rep.estimate.tolist() == [[1.0]]
         assert rep.iterations == 1 and rep.step_history == (0.0,)
@@ -243,47 +236,32 @@ class TestTyler:
         assert counts == [13, 13, 13, 13]
         assert max(tyler(cauchy_scaled_sample(s, 2, 4)).iterations for s in range(400)) <= 46
 
-    def test_newton_evaluation_counts(self):
-        # at n < 2d the fit is Newton's: the identity, the plain map step
-        # from it, then Newton trials.  Anderson needed 18-22 evaluations at
-        # (100, 120) and up to 38 at (100, 105), the plain map 120-123 at
-        # (100, 120); a Newton step that silently fell back to map steps, or
-        # a line search that halved full steps, would fail here
-        counts = [tyler(np.random.default_rng(s).standard_normal((100, 120))).iterations for s in range(4)]
-        assert counts == [7, 7, 7, 7]
-        counts = [tyler(np.random.default_rng(s).standard_normal((100, 105))).iterations for s in range(4)]
-        assert counts == [8, 7, 7, 7]
+    def test_complement_evaluation_counts(self):
+        # at n < 2d the fit evaluates the identity, solves the complementary
+        # problem in n - d dimensions, and measures the mapped solution with
+        # the kernel, where it stops: the last two entries, the complement's
+        # stop and the kernel's measure, both meet tol.  The Anderson fit of
+        # X alone needed 18-22 evaluations at (100, 120) and up to 38 at
+        # (100, 105), the plain map 120-123 at (100, 120); a mapped solution
+        # that missed tol, or an Anderson step that silently fell back to
+        # plain steps, fails here
+        for n in (120, 105):
+            reports = [tyler(np.random.default_rng(s).standard_normal((100, n))) for s in range(4)]
+            assert [rep.iterations for rep in reports] == [14, 14, 14, 14]
+            assert all(max(rep.step_history[-2:]) <= TOL for rep in reports)
 
     @pytest.mark.parametrize("d, n", [(64, 127), (64, 128)])
-    def test_newton_and_anderson_fits_agree(self, d, n):
-        # the two fits on both sides of the n < 2d rule, called directly:
-        # one solution, reached by either
+    def test_complement_and_anderson_fits_agree(self, d, n):
+        # the complement fit and the Anderson fit of X alone, called directly
+        # on both sides of the n < 2d rule: one solution, reached by either
         X = sample_population(PopulationSpec(d, ChiRadius(d), seed=n), n)
-        newton = estimators._newton_fit(X, TOL, 1000)
+        complement = estimators._complement_fit(X, TOL, 1000)
         anderson = estimators._anderson_fit(X, TOL, 1000)
-        assert newton.converged and anderson.converged
-        for rep in (newton, anderson):
+        assert complement.converged and anderson.converged
+        for rep in (complement, anderson):
             assert tyler_residual(X, rep.estimate) <= TOL * np.linalg.norm(rep.estimate)
-        gap = np.linalg.norm(newton.estimate - anderson.estimate)
+        gap = np.linalg.norm(complement.estimate - anderson.estimate)
         assert gap <= 10 * TOL * np.linalg.norm(anderson.estimate)
-
-    def test_unfactorable_hessian_takes_the_plain_map_step(self, monkeypatch):
-        # a Hessian whose factorization fails (dpotrf on the upper triangle;
-        # the kernel factors the lower) leaves the plain map step in weight
-        # space, y <- -log q, which converges like the plain map: more
-        # evaluations than Newton's, to the same fixed point
-        X = cauchy_scaled_sample(3, 6, 9)
-        newton = tyler(X, tol=TOL)
-        real = estimators._blas.dpotrf
-
-        def dpotrf(a, lower=0, **kwargs):
-            return real(a, lower=lower, **kwargs) if lower else (a, 1)
-
-        monkeypatch.setattr(estimators._blas, "dpotrf", dpotrf)
-        plain = tyler(X, tol=TOL)
-        assert plain.converged and plain.iterations > newton.iterations
-        assert tyler_residual(X, plain.estimate) <= TOL * np.linalg.norm(plain.estimate)
-        assert np.linalg.norm(plain.estimate - newton.estimate) <= 10 * TOL * np.linalg.norm(newton.estimate)
 
     def test_requires_enough_observations(self):
         with pytest.raises(ValueError, match="dimension-exceeds-sample"):
@@ -341,24 +319,47 @@ class TestTyler:
             tyler(X)
         assert not exc.value.report.converged
 
-    @pytest.mark.parametrize("seed, d, n", [(1, 2, 3), (3, 2, 3), (6, 4, 6), (15, 10, 15), (120, 100, 120)])
+    @pytest.mark.parametrize(
+        "seed, d, n",
+        [(1, 2, 3)] + [(seed, 2, 3) for seed in range(3, 12)] + [(6, 4, 6), (15, 10, 15), (120, 100, 120)],
+    )
     def test_two_parallel_columns_break_the_condition_near_square(self, seed, d, n):
         # at n < 2d a line holding two columns holds more than n/d of the
-        # points, so no shape solves the equation: the Newton iterate
-        # degenerates until a step cannot be evaluated or the cap is
-        # reached, and the fit raises NoConvergenceError, not LinAlgError or
-        # a RuntimeWarning (an error under pytest), and does not hang.  On
-        # the (2, 3) samples the weights grow apart until W^{-1/2} or the
-        # weight space's Gram overflows, which must count as a trial that
-        # cannot be evaluated, silently
+        # points, so no shape solves the equation, nor the complementary
+        # problem: its iterate degenerates until a step cannot be evaluated
+        # (99-273 evaluations on the larger samples), and the fit raises
+        # NoConvergenceError, not LinAlgError or a RuntimeWarning (an error
+        # under pytest), and does not hang.  On the (2, 3) samples the third
+        # column is off the line of the other two, so the null-space basis
+        # has a zero row, to roundoff, and the fit ends after the identity
+        # (the Newton fit it replaced reached the cap of 1000 on six of them)
         X = np.random.default_rng(seed).standard_normal((d, n))
         X[:, 1] = -2.5 * X[:, 0]
         with pytest.raises(NoConvergenceError, match="no-convergence") as exc:
             tyler(X)
         report = exc.value.report
         assert not report.converged
-        assert report.iterations <= 1000
+        assert report.iterations <= (1 if d == 2 else 300)
         assert abs(np.trace(report.estimate) - d) <= 1e-10 * d
+
+    @pytest.mark.parametrize("roundoff", [False, True])
+    def test_column_off_the_span_of_the_others_ends_after_the_identity(self, roundoff):
+        # one column off the span of the others, a subspace of dimension
+        # d - 1 holding n - 1 > (d - 1) n / d columns: the null-space basis
+        # has a zero row (exactly for these integer columns, at roundoff for
+        # random ones), which ends the fit with the lost-definiteness error
+        # before the complementary problem
+        X = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        if roundoff:
+            X = np.random.default_rng(0).standard_normal((4, 7))
+            X[3, :6] = 0.0
+        d, n = X.shape
+        unit = X / np.linalg.norm(X, axis=0)
+        assert estimators._null_basis(unit) is None
+        with pytest.raises(NoConvergenceError, match="lost positive definiteness") as exc:
+            tyler(X)
+        assert exc.value.report.iterations == 1
+        assert exc.value.report.estimate.tolist() == np.eye(d).tolist()
 
     def test_rejects_columns_concentrated_on_a_line(self):
         # 30 of 40 columns on e1 (d = 4) break Tyler's existence condition
@@ -380,9 +381,10 @@ class TestTyler:
         # the residual of the estimate it returns.  The (2, 4) fits reject
         # extrapolations, seed 0's at evaluation 4 (13 in all) and seed
         # 282's at 3, 5 and 9 (40 in all), so some caps fall right after one.
-        # The near-square fits are Newton's: (3, 5) seed 50 rejects one
-        # line-search trial (7 evaluations in all), (6, 7) seed 191 ten (32),
-        # and (100, 120) is the benchmark's shape
+        # Below n = 2d the caps fall in the complementary problem too: (3, 5)
+        # seed 50 rejects an extrapolation there at evaluation 4 (18 in all),
+        # (6, 7) seed 191 solves it in one and then takes 18 of X's map (20),
+        # and (100, 120) is the benchmark's shape (14)
         samples = [
             (sample_population(PopulationSpec(4, ChiRadius(4), seed=12), 40), 1e-15),
             (cauchy_scaled_sample(0, 2, 4), TOL),
@@ -611,10 +613,9 @@ class TestTylerKernel:
 
 
 
-class TestWeightSpace:
-    """The near-square fit's trial evaluation in the n - d dimensions orthogonal to
-    the rows of U, the data scaled to unit columns, against the kernel's d-space
-    quantities on the same iterates."""
+class TestComplement:
+    """The near-square fit's complementary problem: the null-space basis B of U, the
+    data scaled to unit columns, and the identity that makes its shape equation X's."""
 
     SAMPLES = {
         "(100, 105)": lambda: np.random.default_rng(0).standard_normal((100, 105)),
@@ -622,6 +623,10 @@ class TestWeightSpace:
         "(64, 127)": lambda: np.random.default_rng(2).standard_normal((64, 127)),
         "cauchy (6, 9)": lambda: cauchy_scaled_sample(3, 6, 9),
     }
+
+    @staticmethod
+    def unit(X):
+        return X / np.linalg.norm(X, axis=0)
 
     @pytest.mark.parametrize("name", SAMPLES)
     def test_basis_spans_the_null_space(self, name):
@@ -631,67 +636,47 @@ class TestWeightSpace:
         # least 1, and its rank n - d
         X = self.SAMPLES[name]()
         d, n = X.shape
-        space = estimators._WeightSpace(X)
-        U, B = space.unit, space.basis
-        np.testing.assert_allclose(np.linalg.norm(U, axis=0), 1.0, rtol=1e-15)
+        U = self.unit(X)
+        B = estimators._null_basis(U)
         assert B.shape == (n, n - d)
         assert np.all(np.abs(U @ B) <= 16 * np.finfo(float).eps * (np.abs(U) @ np.abs(B)))
         assert np.linalg.svd(B, compute_uv=False).min() >= 1 - 1e-12
 
     @pytest.mark.parametrize("name", SAMPLES)
-    def test_evaluation_matches_the_kernel(self, name):
-        # at the fit's first trial point y = 0 and three log-weights moved by
-        # up to 2 from it: the leverages b_j |L^{-1} U_j|^2 from the kernel's
-        # whitened rows (T = U diag(b) U^t = L L^t), the relative residual
-        # tyler_residual(X, T) / ||T||_F, and differences of f against
-        # log det(U e^y U^t) = d max y + 2 sum log diag L(U e^{y - max y} U^t).
-        # Measured: h within 7.1e-14, the residual within 7.9e-15 relative,
-        # f's differences within 1.4e-13 (iterates of condition up to 2e4)
+    def test_leverages_of_the_two_problems_add_up_to_one(self, name):
+        # at random weights w (log-weights within 2 of 0): the leverages
+        # w_j U_j^t T^{-1} U_j of W^{1/2} U^t, T = U W U^t, and the leverages
+        # w_j^{-1} b_j^t S^{-1} b_j of W^{-1/2} B, S = B^t W^{-1} B, from the
+        # kernel's quadratic forms, add up to 1, since the two hat matrices
+        # add up to I.  Measured within 7.3e-14, at T of condition up to 2e4
         X = self.SAMPLES[name]()
         d, n = X.shape
-        space = estimators._WeightSpace(X)
-        U = space.unit
+        U = self.unit(X)
+        B = estimators._null_basis(U)
         rng = np.random.default_rng(5)
-        values = []
-        for y in [np.zeros(n)] + [rng.uniform(-2, 2, n) for _ in range(3)]:
-            relative, f, h = space.evaluate(y)
-            T = estimators._weighted_gram(U, y, np.empty((n, d), order="F"))
-            w = np.exp(y - y.max())
-            b = w * d / w.sum()
-            Z = f2py_whiten(U, T)
-            np.testing.assert_allclose(h, b * np.einsum("ij,ij->i", Z, Z), rtol=0, atol=1e-12)
-            assert abs(relative - tyler_residual(X, T) / np.linalg.norm(T)) <= 1e-12 * relative
-            L = cholesky((U * w) @ U.T, lower=True)
-            values.append((f, d * y.max() + 2 * np.log(np.diag(L)).sum() - (d / n) * y.sum()))
-        values = np.array(values)
-        np.testing.assert_allclose(values[1:, 0] - values[0, 0], values[1:, 1] - values[0, 1], rtol=0, atol=1e-11)
-
-    def test_overflowing_weights_are_not_evaluated(self):
-        # log-weights 1500 apart make W^{-1/2} overflow: the point is not
-        # evaluated, without a RuntimeWarning (an error under pytest)
-        y = np.zeros(9)
-        y[4] = 1500.0
-        assert estimators._WeightSpace(cauchy_scaled_sample(3, 6, 9)).evaluate(y) is None
+        for w in [np.ones(n)] + [np.exp(rng.uniform(-2, 2, n)) for _ in range(3)]:
+            T, S = (U * w) @ U.T, (B.T / w) @ B
+            primal = w * estimators._quadratic_forms(U, T, np.empty((n, d), order="F"))
+            complement = estimators._quadratic_forms(B.T, S, np.empty((n, n - d), order="F")) / w
+            np.testing.assert_allclose(primal + complement, 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d, n", [(3, 5), (100, 120)])
-    def test_rank_deficient_data_ends_at_the_first_trial(self, d, n):
+    def test_rank_deficient_data_ends_at_the_identity(self, d, n):
         # a zero row puts every column in a hyperplane: the LU's last pivot
-        # is zero, the basis misses part of the null space, and no trial is
-        # evaluated, so the fit ends after the identity and one trial as the
-        # kernel's failed factor ended it (without the check, after 644-736
-        # evaluations that the kernel's re-measure rejected in turn)
+        # is zero, so no basis is made, and the fit ends after the identity
+        # with the lost-definiteness error (NoConvergenceError)
         X = np.random.default_rng(d).standard_normal((d, n))
         X[-1] = 0.0
-        assert estimators._WeightSpace(X).evaluate(np.zeros(n)) is None
+        assert estimators._null_basis(self.unit(X)) is None
         with pytest.raises(NoConvergenceError, match="lost positive definiteness") as exc:
             tyler(X)
-        assert exc.value.report.iterations == 2
+        assert exc.value.report.iterations == 1
 
     @pytest.mark.parametrize("exponent", [-256, -255, 252, 253, 254])
     def test_fit_at_the_edges_of_the_unrescaled_range(self, exponent):
-        # columns times 2^exponent stay unrescaled (peaks up to 2^256), and
-        # K = (X^t X)∘(X^t X) of the raw data would overflow from 2^253 on
-        # at (100, 120): on unit columns the fit is where it was
+        # columns times 2^exponent stay unrescaled (peaks up to 2^256): the
+        # complementary problem is made from unit columns, so the fit is
+        # where it was
         X = np.random.default_rng(0).standard_normal((100, 120))
         scaled = X * 2.0**exponent
         assert np.array_equal(estimators._rescale_columns(scaled), scaled)
