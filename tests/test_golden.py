@@ -44,6 +44,15 @@ CONFIGS = {
         },
         0,
     ),
+    "near-square": (
+        {
+            "population": {"radial": "scaled-f-root", "p": 1},
+            "schedule": [[8, 10], [16, 24], [16, 31]],
+            "standardized": False,
+            "reference": {"law": "mp", "y": 0.8},
+        },
+        0,
+    ),
     "mp-two": (
         {
             "population": {"radial": "signed-chi"},
