@@ -6,7 +6,10 @@ Each config below runs through ``tylerlaw sweep`` at ``--jobs 1`` and
 
 Regenerate the fixtures (only when an output change is intended) with::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+which writes the named configs' fixtures, or every config's when no name is
+given.
 """
 
 import json
@@ -94,11 +97,16 @@ def test_sweep_matches_golden(name, jobs, tmp_path):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    names = sys.argv[1:] or sorted(CONFIGS)
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        sys.exit(f"unknown config(s) {', '.join(unknown)}; choose from {', '.join(sorted(CONFIGS))}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CONFIGS):
+        for name in names:
             trials, summary = run_config(name, Path(tmp), 1)
             (GOLDEN / f"{name}.trials.json").write_bytes(trials)
             (GOLDEN / f"{name}.summary.json").write_text(
