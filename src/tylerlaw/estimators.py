@@ -25,9 +25,9 @@ _COND_LIMIT = 1e14
 _EXPONENT_LIMIT = 256
 # Anderson acceleration combines the last this many steps (Walker & Ni 2011).
 _ANDERSON_DEPTH = 5
-# Below this many observations per dimension the fit solves the complementary
-# problem of n points in n - d dimensions first, which has more than two
-# points per dimension (README, "Numerical conventions").
+# Below this many observations per dimension the fit's second iterate comes
+# from the complementary problem of n points in n - d dimensions, which has
+# more than two points per dimension (README, "Numerical conventions").
 _COMPLEMENT_RATIO = 2
 
 
@@ -50,7 +50,8 @@ class TylerReport:
     iterations : int
         Number of evaluations of the fixed-point map, including those of
         rejected extrapolations and of the plain steps that replace them;
-        below n = 2d the complementary problem's evaluations count too.
+        below n = 2d those of the complementary problem, which makes the
+        second iterate, count too.
     residual : float
         Frobenius norm of the fixed-point defect ||F(T) - T||_F of the
         returned estimate, from the kernel's map evaluation of it, so it
@@ -68,8 +69,8 @@ class TylerReport:
         iterate, one entry per map evaluation (``inf`` for one that could
         not be evaluated).  Below n = 2d the entries after the first, the
         identity's, are the complementary problem's relative residuals
-        ||F(S) - S||_F / ||S||_F until the kernel's first measure of the
-        mapped estimate, and those of X's map again from there.
+        ||F(S) - S||_F / ||S||_F until the kernel's measure of its mapped
+        solution, the second iterate, and those of X's map again from there.
     """
 
     estimate: np.ndarray = field(compare=False)
@@ -169,21 +170,22 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         T = (d/n) * sum_j X_j X_j^t / (X_j^t T^{-1} X_j),
 
     which determines T only up to a scalar multiple, so every iterate has
-    trace d.  The fit starts at the identity.  For n >= 2d it iterates the
-    map T -> d F(T) / tr F(T), where F is the right-hand side, accelerated
-    with type-II Anderson mixing of the last five steps, safeguarded: an
+    trace d.  The fit starts at the identity and iterates the map
+    T -> d F(T) / tr F(T), where F is the right-hand side, accelerated with
+    type-II Anderson mixing of the last five steps, safeguarded: an
     extrapolated iterate that cannot be Cholesky-factored, has a non-finite
     map value or a larger relative residual than the last accepted iterate
     is replaced by the plain map step from that iterate, and the history is
-    cleared.  For n < 2d the same iteration first solves the complementary
-    problem: the shape equation of the n rows b_j of a basis B of the null
-    space of U, the data scaled to unit columns, in n - d dimensions.  Its
-    solution S gives the weights w_j = b_j^t S^{-1} b_j, and U diag(w) U^t
-    solves the shape equation of X (the hat matrices of W^{1/2} U^t and
-    W^{-1/2} B add up to I), so the iteration goes on from it, scaled to
-    trace d, and usually stops at its first evaluation.
-    Each stops on one rule, ||F(T) - T||_F <= tol * ||T||_F, measured on the
-    map evaluation it already makes, and returns the iterate measured.  The
+    cleared.  For n < 2d the second iterate is the mapped solution of the
+    complementary problem: the shape equation of the n rows b_j of a basis
+    B of the null space of U, the data scaled to unit columns, in n - d
+    dimensions, solved by the same iteration.  Its solution S gives the
+    weights w_j = b_j^t S^{-1} b_j, and U diag(w) U^t solves the shape
+    equation of X (the hat matrices of W^{1/2} U^t and W^{-1/2} B add up to
+    I), so the iteration goes on from it, scaled to trace d, and usually
+    stops at its first evaluation.  The fit stops on one rule,
+    ||F(T) - T||_F <= tol * ||T||_F, measured on the map evaluation it
+    already makes, and returns the iterate measured.  The
     estimator is invariant under rescaling any column by a nonzero scalar,
     so it is distribution-free over generalized spherical (and elliptical)
     populations; columns of extreme scale are rescaled by exact powers of
@@ -225,8 +227,7 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if n < d or n == d > 1:  # at n = d > 1 every X D X^t, D > 0 diagonal, solves the equation
         raise ValueError(f"dimension-exceeds-sample: Tyler's estimator requires n > d, got d={d}, n={n}")
-    fit = _complement_fit if n < _COMPLEMENT_RATIO * d else _anderson_fit
-    return fit(_rescale_columns(X), tol, max_iter)
+    return _fit(_rescale_columns(X), tol, max_iter, [])
 
 
 def _evaluate(X, omega, steps, work, start=False):
@@ -273,16 +274,25 @@ def _result(omega, steps, residual, relative, tol, max_iter):
     return _report(omega, steps, residual, True)
 
 
-def _anderson_fit(X, tol, max_iter, steps=None, omega=None):
+def _fit(X, tol, max_iter, steps):
     # Anderson-accelerated map iteration on a checked, rescaled X (see
-    # ``tyler``) from omega, the identity when None, appending each
-    # evaluation's relative residual to ``steps``, which max_iter caps
+    # ``tyler``) from the identity, appending each evaluation's relative
+    # residual to ``steps``, which max_iter caps
     d, n = X.shape
     work = np.empty((n, d), order="F")  # the kernel's workspace, reused by every evaluation
-    steps = [] if steps is None else steps
-    start = omega is None
-    omega = np.eye(d) if start else omega
-    mapped, residual = _evaluate(X, omega, steps, work, start=start)
+    omega = np.eye(d)
+    mapped, residual = _evaluate(X, omega, steps, work, start=True)
+    # below n = 2d the second iterate is the complementary problem's mapped
+    # solution.  That problem's n points in n - d dimensions are more than
+    # 2(n - d) whenever n < 2d, so its own fit never takes this branch
+    if n < _COMPLEMENT_RATIO * d and steps[-1] > tol and len(steps) < max_iter:
+        omega = _complement_start(X, tol, max_iter, steps, work)
+        if len(steps) == max_iter:
+            # capped in the complementary problem: the kernel's residual of
+            # the mapped iterate, a measure that is not an evaluation of the fit
+            _, residual = _evaluate(X, omega, [], work)
+            return _result(omega, steps, residual, math.inf, tol, max_iter)  # raises whatever the residual
+        mapped, residual = _evaluate(X, omega, steps, work)
     if mapped is None:
         raise _lost_definiteness(omega, steps)
     defect = mapped - omega
@@ -334,36 +344,25 @@ def _anderson_fit(X, tol, max_iter, steps=None, omega=None):
     return _result(omega, steps, residual, relative, tol, max_iter)
 
 
-def _complement_fit(X, tol, max_iter):
-    # the near-square fit (n < 2d) on a checked, rescaled X (see ``tyler``):
-    # the kernel's evaluation of the identity, the Anderson fit of the
-    # complementary problem, whose evaluations count against the same cap,
-    # then the Anderson fit of X from the mapped solution.  A cap reached in
-    # the complementary problem ends the fit with the kernel's residual of
-    # the mapped iterate, a measure that is not an evaluation of the fit
-    d, n = X.shape
-    work = np.empty((n, d), order="F")
-    steps: list[float] = []
-    identity = np.eye(d)
-    _, residual = _evaluate(X, identity, steps, work, start=True)
-    if steps[0] <= tol or max_iter == 1:
-        return _result(identity, steps, residual, steps[0], tol, max_iter)
+def _complement_start(X, tol, max_iter, steps, work):
+    # the mapped solution of the complementary problem of X (n < 2d), made
+    # in ``work``: the fit of the rows of a basis B of the null space of the
+    # unit columns U, whose evaluations go to ``steps`` under the same cap,
+    # gives S, the weights w_j = b_j^t S^{-1} b_j and U diag(w) U^t.  A
+    # singular U, a zero row of B or a complementary fit that loses
+    # positive definiteness ends the fit at the identity
     unit = X / np.sqrt(np.einsum("ij,ij->j", X, X))
     basis = _null_basis(unit)
     if basis is None:
-        raise _lost_definiteness(identity, steps)
+        raise _lost_definiteness(np.eye(X.shape[0]), steps)
     try:
-        shape = _anderson_fit(basis.T, tol, max_iter, steps).estimate
+        shape = _fit(basis.T, tol, max_iter, steps).estimate
     except NoConvergenceError as exc:
         if exc.report.residual == math.inf:
-            raise _lost_definiteness(identity, steps) from None
+            raise _lost_definiteness(np.eye(X.shape[0]), steps) from None
         shape = exc.report.estimate
     weights = _quadratic_forms(basis.T, shape, np.empty_like(basis, order="F"))
-    omega = _weighted_gram(unit, weights, work)
-    if len(steps) < max_iter:
-        return _anderson_fit(X, tol, max_iter, steps, omega)
-    _, residual = _evaluate(X, omega, [], work)
-    return _result(omega, steps, residual, math.inf, tol, max_iter)  # capped: raises whatever the residual
+    return _weighted_gram(unit, weights, work)
 
 
 def _null_basis(unit):

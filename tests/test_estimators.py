@@ -251,16 +251,26 @@ class TestTyler:
             assert all(max(rep.step_history[-2:]) <= TOL for rep in reports)
 
     @pytest.mark.parametrize("d, n", [(64, 127), (64, 128)])
-    def test_complement_and_anderson_fits_agree(self, d, n):
-        # the complement fit and the Anderson fit of X alone, called directly
-        # on both sides of the n < 2d rule: one solution, reached by either
+    def test_complement_and_anderson_fits_agree(self, d, n, monkeypatch):
+        # the complement's mapped solution and X's own Anderson fit on both
+        # sides of the n < 2d rule: one solution, reached by either.  Below
+        # 2d the fit makes the mapped solution its second iterate, and a
+        # ratio of 0 keeps it on X's own map.  At n = 2d no ratio can send the
+        # fit through the complement, which would have d dimensions and take
+        # its own complement without end, so the start is made directly
         X = sample_population(PopulationSpec(d, ChiRadius(d), seed=n), n)
-        complement = estimators._complement_fit(X, TOL, 1000)
-        anderson = estimators._anderson_fit(X, TOL, 1000)
-        assert complement.converged and anderson.converged
-        for rep in (complement, anderson):
-            assert tyler_residual(X, rep.estimate) <= TOL * np.linalg.norm(rep.estimate)
-        gap = np.linalg.norm(complement.estimate - anderson.estimate)
+        if n < 2 * d:
+            rep = tyler(X, tol=TOL)
+            assert rep.converged
+            complement = rep.estimate
+            monkeypatch.setattr(estimators, "_COMPLEMENT_RATIO", 0)
+        else:
+            complement = estimators._complement_start(X, TOL, 1000, [], np.empty((n, d), order="F"))
+        anderson = estimators._fit(X, TOL, 1000, [])
+        assert anderson.converged
+        for T in (complement, anderson.estimate):
+            assert tyler_residual(X, T) <= TOL * np.linalg.norm(T)
+        gap = np.linalg.norm(complement - anderson.estimate)
         assert gap <= 10 * TOL * np.linalg.norm(anderson.estimate)
 
     def test_requires_enough_observations(self):
