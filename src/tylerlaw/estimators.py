@@ -286,10 +286,12 @@ def _fit(X, tol, max_iter, steps):
     # solution.  That problem's n points in n - d dimensions are more than
     # 2(n - d) whenever n < 2d, so its own fit never takes this branch
     if n < _COMPLEMENT_RATIO * d and steps[-1] > tol and len(steps) < max_iter:
+        # held through the complementary fit, the identity's map value made glibc trim the
+        # heap top and fault it in again on every fit: 100 minor faults a fit in (100, 120) sweeps
+        mapped = None
         omega = _complement_start(X, tol, max_iter, steps, work)
         if len(steps) == max_iter:
-            # capped in the complementary problem: the kernel's residual of
-            # the mapped iterate, a measure that is not an evaluation of the fit
+            # capped in the complementary problem: the kernel's measure, not an evaluation
             _, residual = _evaluate(X, omega, [], work)
             return _result(omega, steps, residual, math.inf, tol, max_iter)  # raises whatever the residual
         mapped, residual = _evaluate(X, omega, steps, work)
@@ -345,12 +347,10 @@ def _fit(X, tol, max_iter, steps):
 
 
 def _complement_start(X, tol, max_iter, steps, work):
-    # the mapped solution of the complementary problem of X (n < 2d), made
-    # in ``work``: the fit of the rows of a basis B of the null space of the
-    # unit columns U, whose evaluations go to ``steps`` under the same cap,
-    # gives S, the weights w_j = b_j^t S^{-1} b_j and U diag(w) U^t.  A
-    # singular U, a zero row of B or a complementary fit that loses
-    # positive definiteness ends the fit at the identity
+    # the complementary start for n < 2d, made in ``work``: U diag(w) U^t, U the unit columns
+    # of X, w_j = b_j^t S^{-1} b_j, S the fit of the rows b_j of a basis B of U's null space,
+    # whose evaluations go to ``steps`` under the same cap.  A singular U, a zero row of B or
+    # a complementary fit that loses positive definiteness ends the fit at the identity
     unit = X / np.sqrt(np.einsum("ij,ij->j", X, X))
     basis = _null_basis(unit)
     if basis is None:
