@@ -286,9 +286,7 @@ def _fit(X, tol, max_iter, steps):
     # solution.  That problem's n points in n - d dimensions are more than
     # 2(n - d) whenever n < 2d, so its own fit never takes this branch
     if n < _COMPLEMENT_RATIO * d and steps[-1] > tol and len(steps) < max_iter:
-        # held through the complementary fit, the identity's map value made glibc trim the
-        # heap top and fault it in again on every fit: 100 minor faults a fit in (100, 120) sweeps
-        mapped = None
+        mapped = None  # not held through the complementary fit, which reuses its memory
         omega = _complement_start(X, tol, max_iter, steps, work)
         if len(steps) == max_iter:
             # capped in the complementary problem: the kernel's measure, not an evaluation
@@ -302,9 +300,9 @@ def _fit(X, tol, max_iter, steps):
     # Anderson history of the accepted iterates: rows of differences of
     # successive map values and of successive map defects (map value minus
     # iterate), written in turn over the oldest; ``added`` counts differences
-    # since the last restart
-    dmapped = np.empty((_ANDERSON_DEPTH, d * d))
-    ddefect = np.empty((_ANDERSON_DEPTH, d * d))
+    # since the last restart.  It is made at the first accepted step, so a fit
+    # that stops at its start, as most near-square fits do, makes none
+    dmapped = ddefect = None
     added = 0
     while relative > tol and len(steps) < max_iter:
         # each pass evaluates one candidate: the Anderson extrapolation while
@@ -337,6 +335,8 @@ def _fit(X, tol, max_iter, steps):
         if new_mapped is None:
             raise _lost_definiteness(candidate, steps)
         new_defect = new_mapped - candidate
+        if dmapped is None:
+            dmapped, ddefect = np.empty((2, _ANDERSON_DEPTH, d * d))
         slot = added % _ANDERSON_DEPTH
         np.subtract(new_mapped.ravel(), mapped.ravel(), out=dmapped[slot])
         np.subtract(new_defect.ravel(), defect.ravel(), out=ddefect[slot])
@@ -347,11 +347,11 @@ def _fit(X, tol, max_iter, steps):
 
 
 def _complement_start(X, tol, max_iter, steps, work):
-    # the complementary start for n < 2d, made in ``work``: U diag(w) U^t, U the unit columns
-    # of X, w_j = b_j^t S^{-1} b_j, S the fit of the rows b_j of a basis B of U's null space,
-    # whose evaluations go to ``steps`` under the same cap.  A singular U, a zero row of B or
-    # a complementary fit that loses positive definiteness ends the fit at the identity
-    unit = X / np.sqrt(np.einsum("ij,ij->j", X, X))
+    # the complementary start for n < 2d, made in ``work``, which first holds U^t, U the unit
+    # columns of X: U diag(w) U^t, w_j = b_j^t S^{-1} b_j, S the fit of the rows b_j of a basis
+    # B of U's null space, its evaluations in ``steps`` under the same cap.  A singular U, a zero
+    # row of B or a complementary fit that loses positive definiteness ends the fit at the identity
+    unit = np.divide(X.T, np.sqrt(np.einsum("ij,ij->j", X, X))[:, None], out=work).T
     basis = _null_basis(unit)
     if basis is None:
         raise _lost_definiteness(np.eye(X.shape[0]), steps)

@@ -250,6 +250,24 @@ class TestTyler:
             assert [rep.iterations for rep in reports] == [14, 14, 14, 14]
             assert all(max(rep.step_history[-2:]) <= TOL for rep in reports)
 
+    @pytest.mark.parametrize("n", [105, 120])
+    def test_fit_stopping_at_its_start_makes_no_anderson_history(self, n):
+        # below 2d the fit usually stops at the mapped start, before any
+        # Anderson step.  The history, two blocks of 5 d^2 doubles, is made at
+        # the first accepted step, so such a fit peaks below it: 5.0-5.3 d^2
+        # doubles measured, against 18-19 while the history was made up front
+        d = 100
+        X = np.random.default_rng(0).standard_normal((d, n))
+        tyler(X)  # first-call allocations of numpy
+        tracemalloc.start()
+        try:
+            rep = tyler(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.iterations == 14 and max(rep.step_history[-2:]) <= TOL
+        assert peak < 10 * d * d * 8
+
     @pytest.mark.parametrize("d, n", [(64, 127), (64, 128)])
     def test_complement_and_anderson_fits_agree(self, d, n, monkeypatch):
         # the complement's mapped solution and X's own Anderson fit on both
