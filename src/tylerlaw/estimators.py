@@ -185,9 +185,9 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     I), so the iteration goes on from it, scaled to trace d, and usually
     stops at its first evaluation.  The fit stops on one rule,
     ||F(T) - T||_F <= tol * ||T||_F, measured on the map evaluation it
-    already makes, and returns the iterate measured.  The
-    estimator is invariant under rescaling any column by a nonzero scalar,
-    so it is distribution-free over generalized spherical (and elliptical)
+    already makes, and returns the iterate measured.  The estimator is
+    invariant under rescaling any column by a nonzero scalar, so it is
+    distribution-free over generalized spherical (and elliptical)
     populations; columns of extreme scale are rescaled by exact powers of
     two before the iteration.
 
