@@ -8,6 +8,8 @@ positive definite with trace d.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +91,18 @@ def _as_data_matrix(X) -> np.ndarray:
     return X
 
 
+def _in_range(X: np.ndarray) -> bool:
+    # one pass in place of `_as_data_matrix`'s scan and `_rescale_columns`:
+    # when every column's sum of squares s lies in [2^-400, 2^400], X is
+    # finite (a nan fails the test) and has no zero column, and each column's
+    # peak, in [sqrt(s / d), sqrt(s)], lies within 2^+-256 for d < 2^112, so
+    # both would keep X as it is
+    if X.ndim != 2 or X.shape[0] >= 2**112:
+        return False
+    squares = np.einsum("ij,ij->j", X, X)
+    return bool(np.all((squares >= 2.0**-400) & (squares <= 2.0**400)))
+
+
 def _rescale_columns(X: np.ndarray) -> np.ndarray:
     # the shape equation ignores column scales, and scaling a column by a
     # power of two is exact, so columns whose squares could overflow or
@@ -132,18 +146,20 @@ def _gram(Y: np.ndarray) -> np.ndarray:
 def _quadratic_forms(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray) -> np.ndarray:
     """The n quadratic forms X_j^t omega^{-1} X_j, omega None the identity, made in ``work``: an
     (n, d) Fortran-ordered array it overwrites, left holding Z = X^t L^{-t} (L omega's Cholesky
-    factor), whose row j is (L^{-1} X_j)^t."""
+    factor), whose row j is (L^{-1} X_j)^t; at the identity a C-ordered X is read in place."""
+    if omega is None and X.flags.c_contiguous:
+        # Z = X^t, which a C-ordered X holds in the workspace's layout
+        return np.einsum("ij,ij->i", X.T, X.T)
     np.copyto(work, X.T)
     if omega is not None:
-        # no finiteness scans: X has passed `_as_data_matrix`, and omega is an
-        # iterate `tyler` found finite or a shape `tyler_residual` has checked
+        # no finiteness scans: X has passed `_in_range` or `_as_data_matrix`, and
+        # omega is an iterate `tyler` found finite or a shape `tyler_residual` has checked
         L, info = _blas.dpotrf(omega, lower=1, clean=0)
         if info != 0:
             raise LinAlgError(f"omega is not positive definite (dpotrf info {info})")
         # X_j^t omega^{-1} X_j = |L^{-1} X_j|^2, made in place from the right
         # on X^t by the inverted factor and one triangular product (in scipy's
-        # OpenBLAS 2-3x faster than a triangular solve when n >> d).  At the
-        # identity L^{-1} = I, so Z is X^t itself
+        # OpenBLAS 2-3x faster than a triangular solve when n >> d)
         L, info = _blas.dtrtri(L, lower=1)
         if info != 0:
             raise LinAlgError(f"omega's Cholesky factor is singular (dtrtri info {info})")
@@ -219,7 +235,10 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         definiteness, residual ``inf``); carries the partial report (trace
         still d).  Columns concentrated on a subspace end either way.
     """
-    X = _as_data_matrix(X)
+    X = np.asarray(X, dtype=float)
+    in_range = _in_range(X)
+    if not in_range:
+        X = _as_data_matrix(X)
     d, n = X.shape
     if not 0 < tol < math.inf:  # nan fails too, and would stop every fit at once
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -227,7 +246,28 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if n < d or n == d > 1:  # at n = d > 1 every X D X^t, D > 0 diagonal, solves the equation
         raise ValueError(f"dimension-exceeds-sample: Tyler's estimator requires n > d, got d={d}, n={n}")
-    return _fit(_rescale_columns(X), tol, max_iter, [])
+    return _fit(X if in_range else _rescale_columns(X), tol, max_iter, [], _resident_work(d, n))
+
+
+# The block that ``resident_workspace`` lends the Tyler fits of its thread
+_resident = threading.local()
+
+
+@contextmanager
+def resident_workspace(block: np.ndarray):
+    """Let each ``tyler`` call of this thread inside the ``with`` block make its (n, d) kernel
+    workspace in ``block``, a contiguous float64 array, when it holds d * n entries."""
+    _resident.block = block
+    try:
+        yield
+    finally:
+        _resident.block = None
+
+
+def _resident_work(d, n):
+    # an (n, d) Fortran-ordered view of the lent block, None without one large enough
+    block = getattr(_resident, "block", None)
+    return None if block is None or block.size < d * n else block.reshape(-1)[: d * n].reshape(d, n).T
 
 
 def _evaluate(X, omega, steps, work, start=False):
@@ -274,12 +314,14 @@ def _result(omega, steps, residual, relative, tol, max_iter):
     return _report(omega, steps, residual, True)
 
 
-def _fit(X, tol, max_iter, steps):
+def _fit(X, tol, max_iter, steps, work=None):
     # Anderson-accelerated map iteration on a checked, rescaled X (see
     # ``tyler``) from the identity, appending each evaluation's relative
-    # residual to ``steps``, which max_iter caps
+    # residual to ``steps``, which max_iter caps.  ``work`` is the kernel's
+    # (n, d) Fortran-ordered workspace, reused by every evaluation, fresh when
+    # None, as it is for the complementary problem: X's fit holds U in its own
     d, n = X.shape
-    work = np.empty((n, d), order="F")  # the kernel's workspace, reused by every evaluation
+    work = np.empty((n, d), order="F") if work is None else work
     omega = np.eye(d)
     mapped, residual = _evaluate(X, omega, steps, work, start=True)
     # below n = 2d the second iterate is the complementary problem's mapped
@@ -418,7 +460,9 @@ def tyler_residual(X, shape) -> float:
         symmetric to roundoff ("non-symmetric"), or is numerically singular
         or not positive definite (condition above 1e14, "singular-shape").
     """
-    X = _rescale_columns(_as_data_matrix(X))
+    X = np.asarray(X, dtype=float)
+    if not _in_range(X):
+        X = _rescale_columns(_as_data_matrix(X))
     shape = np.asarray(shape, dtype=float)
     w = symmetric_eigenvalues(shape)
     if w[0] <= 0 or w[-1] / w[0] > _COND_LIMIT:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .codec import SCHEMA_VERSION, Record, check_keys, decode
-from .estimators import sample_covariance, tyler
+from .estimators import resident_workspace, sample_covariance, tyler
 from .laws import ReferenceLaw, Semicircle, law_from_dict, law_to_dict
 from .metrics import SpectralSummary, summarize
 from .sampling import PopulationTemplate, derive_seed, sample_population
@@ -168,6 +169,10 @@ class TrialResult(Record):
         return cls.from_dict(json.loads(line))
 
 
+# ``samples``: the block that ``run_sweep`` lends the trial running on this thread for its sample
+_arena = threading.local()
+
+
 def run_trial(cfg: ExperimentConfig, pair_index: int, replicate: int) -> TrialResult:
     """Run one seeded trial; its errors yield a failed record, an address outside cfg a ValueError."""
     if not (0 <= pair_index < len(cfg.schedule) and 0 <= replicate < cfg.replicates):
@@ -176,7 +181,7 @@ def run_trial(cfg: ExperimentConfig, pair_index: int, replicate: int) -> TrialRe
     seed = derive_seed(cfg.base_seed, pair_index, replicate)
     trial = TrialResult(pair_index=pair_index, replicate=replicate, d=d, n=n, seed=seed, results={})
     try:
-        X = sample_population(cfg.population.instantiate(d, seed), n)
+        X = sample_population(cfg.population.instantiate(d, seed), n, getattr(_arena, "samples", None))
         mats: dict[str, np.ndarray] = {}
         spectra: dict[str, np.ndarray] = {}
         for tag in cfg.estimators:
@@ -290,17 +295,36 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
     Every trial runs on one BLAS thread, and cores are used through
     ``n_jobs`` trial threads: the process-wide thread count of scipy's
     OpenBLAS is 1 until the sweep returns or raises, at any ``n_jobs``.
+    Each trial thread makes one arena at its first trial, two blocks of
+    the schedule's largest d * n doubles: its trials draw their samples
+    into the first and lend the second to their Tyler fits as the kernel
+    workspace, so they allocate no (d, n) array.  The arenas are freed with
+    this call's frame.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     start = time.perf_counter()
     tasks = [(i, r) for i in range(len(cfg.schedule)) for r in range(cfg.replicates)]
+    size = max(d * n for d, n in cfg.schedule)
+    arenas = {}  # trial thread -> its arena
+
+    def trial(task):
+        arena = arenas.get(threading.get_ident())
+        if arena is None:
+            arena = arenas[threading.get_ident()] = (np.empty(size), np.empty(size))
+        _arena.samples = arena[0]
+        try:
+            with resident_workspace(arena[1]):
+                return run_trial(cfg, *task)
+        finally:
+            _arena.samples = None
+
     with one_blas_thread():
         if n_jobs > 1:
             with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                trials = list(pool.map(lambda t: run_trial(cfg, *t), tasks))
+                trials = list(pool.map(trial, tasks))
         else:
-            trials = [run_trial(cfg, i, r) for i, r in tasks]
+            trials = [trial(t) for t in tasks]
     summary = summarize_sweep(cfg, trials)
     return SweepResult(config=cfg, trials=trials, summary=summary, wall_time=time.perf_counter() - start)
 

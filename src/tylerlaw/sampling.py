@@ -29,7 +29,10 @@ SplitMix64, a fixed, documented 64-bit mixing function.
 Chi radii (``chi``, ``signed-chi``) use sums of squared standard normals for
 df <= 64 (exact construction) and a gamma sampler above that switch point
 (speed); the benchmark's recorded covariance values come from that draw.
-t radii (``scaled-f-root``) use numpy's F sampler, two gamma draws a radius.
+The normals are drawn and summed in row chunks of about 64 KB through one
+buffer, which gives the bits and the generator state of one (m, df) draw
+without making it.  t radii (``scaled-f-root``) use numpy's F sampler, two
+gamma draws a radius.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Above this df, chi-square draws switch from summed squared normals to a
 # gamma sampler.
 CHI_EXACT_DF_MAX = 64
+# Doubles in the buffer through which the normal-sum chi-square passes its normals
+_CHI_CHUNK = 8192
 
 
 def splitmix64(x: int) -> int:
@@ -81,11 +86,21 @@ def derive_seed(base_seed: int, *indices: int) -> int:
 
 
 def _chi_square(rng: np.random.Generator, df: int, m: int) -> np.ndarray:
-    """m draws of chi2_df; exact normal-sum construction up to df = 64."""
-    if df <= CHI_EXACT_DF_MAX:
-        z = rng.standard_normal((m, df))
-        return np.einsum("ij,ij->i", z, z)
-    return 2.0 * rng.standard_gamma(0.5 * df, size=m)
+    """m draws of chi2_df; exact normal-sum construction up to df = 64.
+
+    The (m, df) normals are drawn in row order, a chunk of rows at a time into
+    one buffer, and each row is summed alone, so the chunks give the bits of
+    one (m, df) draw and leave the generator where it would.
+    """
+    if df > CHI_EXACT_DF_MAX:
+        return 2.0 * rng.standard_gamma(0.5 * df, size=m)
+    out, rows = np.empty(m), _CHI_CHUNK // df
+    buf = np.empty((min(m, rows), df))
+    for start in range(0, m, rows):
+        z = buf[: m - start]
+        rng.standard_normal(out=z)
+        np.einsum("ij,ij->i", z, z, out=out[start : start + len(z)])
+    return out
 
 
 def _check_positive_int(radial, name: str):
@@ -204,7 +219,7 @@ class PopulationSpec:
             raise TypeError(f"unknown coupling: {self.coupling!r}")
 
 
-def sample_population(spec: PopulationSpec, n: int) -> np.ndarray:
+def sample_population(spec: PopulationSpec, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Draw the (spec.dim, n) data matrix of an i.i.d. sample of size n.
 
     Column j is R_j * U_j.  The PCG64 generator seeded from ``spec.seed``
@@ -212,12 +227,19 @@ def sample_population(spec: PopulationSpec, n: int) -> np.ndarray:
     n radii from ``spec.radial``; the coupling multiplier comes last, so the
     same spec and n give the same bits.  The normals become U and then X in
     place, and the norms come from einsum, so the draw makes no (dim, n)
-    temporary; for n >= 2 they are ``np.linalg.norm``'s bits.
+    temporary; for n >= 2 they are ``np.linalg.norm``'s bits.  With ``out``,
+    a C-contiguous float64 array of at least dim * n entries, X is written
+    into its first dim * n entries and returned as a view of them.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
+    if out is not None and not (out.dtype == np.float64 and out.flags.c_contiguous and out.size >= spec.dim * n):
+        raise ValueError(f"out must be a C-contiguous float64 array of at least {spec.dim * n} entries")
     rng = np.random.default_rng(spec.seed)
-    u = rng.standard_normal((spec.dim, n))
+    if out is None:
+        u = rng.standard_normal((spec.dim, n))
+    else:
+        u = rng.standard_normal(out=out.reshape(-1)[: spec.dim * n].reshape(spec.dim, n))
     u /= np.sqrt(np.einsum("ij,ij->j", u, u))
     r = spec.radial.draw(rng, n)
     if spec.coupling is Coupling.SIGN_U1:

@@ -1,5 +1,8 @@
+import itertools
 import json
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +311,66 @@ class TestRunSweep:
             with pytest.raises(KeyError, match="boom"):
                 run_sweep(small_config(), n_jobs=n_jobs)
             assert blas_threads() == 2
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_trials_after_a_threads_first_allocate_no_block(self, monkeypatch, n_jobs):
+        # every trial thread draws its samples and fits them in its arena:
+        # after a thread's first trial, no trial's traced peak reaches one
+        # (d, n) block.  The lock runs one trial at a time, so each traced
+        # peak is one trial's
+        lock, threads, peaks = threading.Lock(), set(), []
+        real = harness.run_trial
+
+        def traced(cfg, i, r):
+            with lock:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                trial = real(cfg, i, r)
+                d, n = cfg.schedule[i]
+                if threading.get_ident() in threads:
+                    peaks.append((tracemalloc.get_traced_memory()[1] - start) / (8 * d * n))
+                threads.add(threading.get_ident())
+                assert not trial.failed
+                return trial
+
+        monkeypatch.setattr(harness, "run_trial", traced)
+        tracemalloc.start()
+        try:
+            run_sweep(small_config(schedule=((16, 1600), (32, 3200)), replicates=3), n_jobs=n_jobs)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 6 - len(threads) and max(peaks) < 1
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_arenas_released_when_the_sweep_returns_or_raises(self, monkeypatch, n_jobs):
+        class Boom(Exception):
+            pass
+
+        cfg = small_config(schedule=((16, 1600), (32, 3200)), replicates=2)
+        run_sweep(cfg, n_jobs=n_jobs)  # numpy's and scipy's first-call allocations
+        calls, real = itertools.count(), harness.summarize
+
+        def summarize_until_the_sixth(*args):
+            if next(calls) == 5:  # in the second pair's trials, with the arenas in use
+                raise Boom
+            return real(*args)
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_sweep(cfg, n_jobs=n_jobs)
+            returned = tracemalloc.get_traced_memory()[0] - before
+            monkeypatch.setattr(harness, "summarize", summarize_until_the_sixth)
+            try:
+                run_sweep(cfg, n_jobs=n_jobs)
+            except Boom:
+                pass
+            raised = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.trials) == 4
+        block = 8 * 32 * 3200
+        assert returned < block / 4 and raised < block / 4
 
     def test_variance_slope_reported(self):
         cfg = small_config(replicates=4)

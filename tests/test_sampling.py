@@ -21,7 +21,7 @@ from tylerlaw import (
     splitmix64,
     symmetric_eigenvalues,
 )
-from tylerlaw.sampling import CHI_EXACT_DF_MAX
+from tylerlaw.sampling import _CHI_CHUNK, CHI_EXACT_DF_MAX, _chi_square
 
 
 def unit_sphere(d, seed, m):
@@ -76,6 +76,18 @@ class TestRadialLaws:
         # above the switch point the gamma sampler must keep E chi2_df = df
         r = np.linalg.norm(sample_population(PopulationSpec(3, ChiRadius(100), seed=6), 50_000), axis=0)
         assert abs((r**2).mean() / 100.0 - 1.0) <= 0.02
+
+    @pytest.mark.parametrize("df", [1, 7, 63, 64])
+    def test_chunked_chi_square_is_one_draw(self, df):
+        # the normals pass through one buffer a chunk of rows at a time: every
+        # chunk boundary keeps the bits of one (m, df) draw and its sums, and
+        # the generator ends where that draw leaves it
+        rows = _CHI_CHUNK // df
+        for m in [0, 1, rows - 1, rows, rows + 1, 3 * rows + 5]:
+            one, chunked = np.random.default_rng(m), np.random.default_rng(m)
+            z = one.standard_normal((m, df))
+            np.testing.assert_array_equal(_chi_square(chunked, df, m), np.einsum("ij,ij->i", z, z))
+            assert chunked.bit_generator.state == one.bit_generator.state
 
     def test_signed_chi_sign_balance(self):
         r = SignedChiRadius(3).draw(np.random.default_rng(7), 100_000)
@@ -208,13 +220,20 @@ class TestSamplePopulation:
         u = sample_population(PopulationSpec(d, ConstantRadius(1.0), seed=d + n), n)
         np.testing.assert_array_equal(u, z / np.linalg.norm(z, axis=0))
 
-    @pytest.mark.parametrize("coupling", list(Coupling))
-    @pytest.mark.parametrize("d", [20, 64])
-    def test_draw_peaks_near_its_output(self, d, coupling):
-        # the normals become U and then X in place, and the t radius takes
-        # a few length-n vectors: the peak stays within 1.3x the output
-        # (a (d, n) temporary would make it 2x)
-        spec = PopulationSpec(d, ScaledFRootRadius(d, 1), coupling, seed=5)
+    @pytest.mark.parametrize(
+        "d, coupling, law",
+        [
+            pytest.param(d, coupling, law, id=f"{d}-{coupling}" + ("" if law is ScaledFRootRadius else f"-{law.name}"))
+            for law in (ScaledFRootRadius, ChiRadius, SignedChiRadius)
+            for d in (20, 64)
+            for coupling in Coupling
+        ],
+    )
+    def test_draw_peaks_near_its_output(self, d, coupling, law):
+        # the normals become U and then X in place, the t radius takes a few
+        # length-n vectors and the chi radius a 64 KB buffer of normals: the
+        # peak stays within 1.3x the output (a (d, n) temporary would make it 2x)
+        spec = PopulationSpec(d, law(d, 1) if law is ScaledFRootRadius else law(d), coupling, seed=5)
         sample_population(spec, 100 * d)  # first-call allocations of numpy
         tracemalloc.start()
         try:
@@ -223,6 +242,27 @@ class TestSamplePopulation:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * X.nbytes
+
+    @pytest.mark.parametrize("coupling", list(Coupling))
+    @pytest.mark.parametrize("kind", sorted(RADIAL_KINDS))
+    def test_draw_into_out_keeps_the_bits(self, kind, coupling):
+        params = RADIAL_KINDS[kind].params
+        template = PopulationTemplate(kind, coupling, p=3 if "p" in params else None, c=-1.5 if "c" in params else None)
+        spec = template.instantiate(12, 77)
+        out = np.full(12 * 300 + 5, np.nan)
+        X = sample_population(spec, 300, out)
+        np.testing.assert_array_equal(X, sample_population(spec, 300))
+        assert np.shares_memory(X, out) and X.flags.c_contiguous
+        assert np.isnan(out[12 * 300 :]).all()  # only the first d n entries are written
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty(12 * 300 - 1), np.empty(12 * 300, dtype=np.float32), np.empty(2 * 12 * 300)[::2], np.empty((300, 12)).T],
+        ids=["too-small", "float32", "strided", "fortran"],
+    )
+    def test_draw_rejects_an_unfit_out(self, out):
+        with pytest.raises(ValueError, match="C-contiguous float64 array of at least 3600 entries"):
+            sample_population(PopulationSpec(12, ChiRadius(12), seed=1), 300, out)
 
     def test_invalid_sample_size(self):
         with pytest.raises(ValueError):
