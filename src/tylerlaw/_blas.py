@@ -81,18 +81,25 @@ def dsyrk(a):
     return c
 
 
+# bound once, in a tuple: as module attributes they would pass for GIL-free kernels
+_lib = ctypes.CDLL(_fblas.__file__)  # dlsym also searches the OpenBLAS it links
+_THREAD_CALLS = tuple(getattr(_lib, f"scipy_openblas_{k}_num_threads", None) for k in ("get", "set"))
+
+
 def openblas_thread_calls():
-    """(get, set) of scipy's OpenBLAS thread count, or None if it exports neither."""
-    lib = ctypes.CDLL(_fblas.__file__)  # dlsym also searches the OpenBLAS it links
-    names = ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads")
-    return tuple(getattr(lib, k) for k in names) if all(hasattr(lib, k) for k in names) else None
+    """(get, set) of scipy's OpenBLAS thread count, or None if it lacks either."""
+    return None if None in _THREAD_CALLS else _THREAD_CALLS
 
 
 @contextmanager
 def one_blas_thread():
-    """Run the block with scipy's OpenBLAS on one thread, then restore the count."""
-    get, set_ = openblas_thread_calls() or (lambda: None, lambda count: None)
+    """Run the block with scipy's OpenBLAS on one thread, then restore the count.  A count that
+    is 1 already is not written, so the nested and concurrent entries inside a sweep write nothing."""
+    get, set_ = openblas_thread_calls() or (lambda: 1, None)
     prior = get()
+    if prior == 1:
+        yield
+        return
     set_(1)
     try:
         yield

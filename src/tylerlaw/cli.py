@@ -21,7 +21,6 @@ import time
 
 import numpy as np
 
-from ._blas import one_blas_thread
 from .estimators import NoConvergenceError
 from .harness import (
     ExperimentConfig,
@@ -36,8 +35,7 @@ from .harness import (
 def _cmd_trial(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     start = time.perf_counter()
-    with one_blas_thread():  # as in a sweep, so the record is the sweep's
-        trial = run_trial(cfg, args.pair, args.replicate)
+    trial = run_trial(cfg, args.pair, args.replicate)
     summary = summarize_sweep(cfg, [trial])
     write_results(SweepResult(cfg, [trial], summary, wall_time=time.perf_counter() - start), args.out)
     if trial.failed:

@@ -8,8 +8,6 @@ positive definite with trace d.
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,7 +176,7 @@ def _tyler_rhs(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray | None 
     return _gram(work.T) * (d / n)
 
 
-def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
+def tyler(X, tol: float = 1e-9, max_iter: int = 1000, *, work: np.ndarray | None = None) -> TylerReport:
     """Tyler's M-estimator for scatter, normalized to trace d.
 
     Solves the shape equation
@@ -215,6 +213,10 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         Relative Frobenius residual tolerance (finite, > 0).
     max_iter : int
         Cap on map evaluations (>= 1), the complementary problem's included.
+    work : numpy.ndarray, optional
+        A C-contiguous float64 array of at least d * n entries, apart from X,
+        whose first d * n entries the fit overwrites with its (n, d) kernel
+        workspace; fresh when None.  A sweep passes each trial thread's block.
 
     Returns
     -------
@@ -225,8 +227,9 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
     ------
     ValueError
         If n < d or n = d > 1 ("dimension-exceeds-sample"), some column is zero
-        ("zero-column"), an entry is nan or inf ("non-finite-entry"), or
-        ``tol`` or ``max_iter`` is out of range.
+        ("zero-column"), an entry is nan or inf ("non-finite-entry"),
+        ``tol`` or ``max_iter`` is out of range, or ``work`` is too small, not
+        C-contiguous float64 or overlaps X.
     NoConvergenceError
         If the cap is reached before the residual meets ``tol`` (a cap reached
         in the complementary problem raises too, with the kernel's residual
@@ -246,28 +249,13 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000) -> TylerReport:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if n < d or n == d > 1:  # at n = d > 1 every X D X^t, D > 0 diagonal, solves the equation
         raise ValueError(f"dimension-exceeds-sample: Tyler's estimator requires n > d, got d={d}, n={n}")
-    return _fit(X if in_range else _rescale_columns(X), tol, max_iter, [], _resident_work(d, n))
-
-
-# The block that ``resident_workspace`` lends the Tyler fits of its thread
-_resident = threading.local()
-
-
-@contextmanager
-def resident_workspace(block: np.ndarray):
-    """Let each ``tyler`` call of this thread inside the ``with`` block make its (n, d) kernel
-    workspace in ``block``, a contiguous float64 array, when it holds d * n entries."""
-    _resident.block = block
-    try:
-        yield
-    finally:
-        _resident.block = None
-
-
-def _resident_work(d, n):
-    # an (n, d) Fortran-ordered view of the lent block, None without one large enough
-    block = getattr(_resident, "block", None)
-    return None if block is None or block.size < d * n else block.reshape(-1)[: d * n].reshape(d, n).T
+    work = np.empty(d * n) if work is None else work
+    if not (work.dtype == np.float64 and work.flags.c_contiguous and work.size >= d * n):
+        raise ValueError(f"work must be a C-contiguous float64 array of at least {d * n} entries")
+    if np.may_share_memory(work, X):  # the kernel writes into work while it reads X
+        raise ValueError("work must not overlap the data matrix")
+    work = work.reshape(-1)[: d * n].reshape(d, n).T  # (n, d), Fortran-ordered
+    return _fit(X if in_range else _rescale_columns(X), tol, max_iter, [], work)
 
 
 def _evaluate(X, omega, steps, work, start=False):

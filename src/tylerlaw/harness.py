@@ -26,7 +26,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .codec import SCHEMA_VERSION, Record, check_keys, decode
-from .estimators import resident_workspace, sample_covariance, tyler
+from .estimators import sample_covariance, tyler
 from .laws import ReferenceLaw, Semicircle, law_from_dict, law_to_dict
 from .metrics import SpectralSummary, summarize
 from .sampling import PopulationTemplate, derive_seed, sample_population
@@ -39,18 +39,19 @@ __all__ = [
 ]
 
 
-def _fit_covariance(cfg: ExperimentConfig, X: np.ndarray) -> tuple[np.ndarray, dict]:
+def _fit_covariance(cfg: ExperimentConfig, X: np.ndarray, work: np.ndarray | None) -> tuple[np.ndarray, dict]:
     return sample_covariance(X), {}
 
 
-def _fit_tyler(cfg: ExperimentConfig, X: np.ndarray) -> tuple[np.ndarray, dict]:
-    r = tyler(X, tol=cfg.tol, max_iter=cfg.max_iter)
+def _fit_tyler(cfg: ExperimentConfig, X: np.ndarray, work: np.ndarray | None) -> tuple[np.ndarray, dict]:
+    r = tyler(X, tol=cfg.tol, max_iter=cfg.max_iter, work=work)
     return r.estimate, dict(iterations=r.iterations, residual=r.residual, converged=r.converged)
 
 
-# Config tag -> fit(cfg, X) -> (estimate, solver diagnostics for
-# EstimatorResult).  The fits look ``tyler`` and ``sample_covariance`` up in
-# this module when called, so a wrapper installed on those names sees every fit.
+# Config tag -> fit(cfg, X, work) -> (estimate, solver diagnostics for
+# EstimatorResult), ``work`` a block apart from X that the fit may overwrite,
+# or None.  The fits look ``tyler`` and ``sample_covariance`` up in this
+# module when called, so a wrapper installed on those names sees every fit.
 ESTIMATORS = {"covariance": _fit_covariance, "tyler": _fit_tyler}
 
 
@@ -169,32 +170,35 @@ class TrialResult(Record):
         return cls.from_dict(json.loads(line))
 
 
-# ``samples``: the block that ``run_sweep`` lends the trial running on this thread for its sample
+# ``blocks``: the (samples, Tyler workspace) arena that ``run_sweep`` lends this thread's trial
 _arena = threading.local()
 
 
 def run_trial(cfg: ExperimentConfig, pair_index: int, replicate: int) -> TrialResult:
-    """Run one seeded trial; its errors yield a failed record, an address outside cfg a ValueError."""
+    """Run one seeded trial on one BLAS thread; its errors yield a failed record, an address outside
+    cfg a ValueError."""
     if not (0 <= pair_index < len(cfg.schedule) and 0 <= replicate < cfg.replicates):
         raise ValueError(f"pair_index must be in 0..{len(cfg.schedule) - 1} and replicate in 0..{cfg.replicates - 1}")
     d, n = cfg.schedule[pair_index]
     seed = derive_seed(cfg.base_seed, pair_index, replicate)
     trial = TrialResult(pair_index=pair_index, replicate=replicate, d=d, n=n, seed=seed, results={})
-    try:
-        X = sample_population(cfg.population.instantiate(d, seed), n, getattr(_arena, "samples", None))
-        mats: dict[str, np.ndarray] = {}
-        spectra: dict[str, np.ndarray] = {}
-        for tag in cfg.estimators:
-            mats[tag], diag = ESTIMATORS[tag](cfg, X)
-            A = standardize(mats[tag], n) if cfg.standardized else mats[tag]
-            spectra[tag] = symmetric_eigenvalues(A)
-            trial.results[tag] = EstimatorResult(summarize(spectra[tag], cfg.reference, cfg.max_moment), **diag)
-        if "covariance" in mats and "tyler" in mats:
-            trial.cross_norm = float(spectral_norm(np.sqrt(n / d) * (mats["tyler"] - mats["covariance"])))
-        trial.spectra = spectra if cfg.save_spectra else None
-    except (ValueError, OverflowError, RuntimeError) as exc:
-        trial.results, trial.cross_norm = {}, None
-        trial.error = f"{type(exc).__name__}: {exc}"
+    samples, work = getattr(_arena, "blocks", None) or (None, None)
+    with one_blas_thread():
+        try:
+            X = sample_population(cfg.population.instantiate(d, seed), n, samples)
+            mats: dict[str, np.ndarray] = {}
+            spectra: dict[str, np.ndarray] = {}
+            for tag in cfg.estimators:
+                mats[tag], diag = ESTIMATORS[tag](cfg, X, work)
+                A = standardize(mats[tag], n) if cfg.standardized else mats[tag]
+                spectra[tag] = symmetric_eigenvalues(A)
+                trial.results[tag] = EstimatorResult(summarize(spectra[tag], cfg.reference, cfg.max_moment), **diag)
+            if "covariance" in mats and "tyler" in mats:
+                trial.cross_norm = float(spectral_norm(np.sqrt(n / d) * (mats["tyler"] - mats["covariance"])))
+            trial.spectra = spectra if cfg.save_spectra else None
+        except (ValueError, OverflowError, RuntimeError) as exc:
+            trial.results, trial.cross_norm = {}, None
+            trial.error = f"{type(exc).__name__}: {exc}"
     return trial
 
 
@@ -297,8 +301,8 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
     OpenBLAS is 1 until the sweep returns or raises, at any ``n_jobs``.
     Each trial thread makes one arena at its first trial, two blocks of
     the schedule's largest d * n doubles: its trials draw their samples
-    into the first and lend the second to their Tyler fits as the kernel
-    workspace, so they allocate no (d, n) array.  The arenas are freed with
+    into the first and pass the second to their Tyler fits as ``work``,
+    so they allocate no (d, n) array.  The arenas are freed with
     this call's frame.
     """
     if n_jobs < 1:
@@ -312,12 +316,11 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
         arena = arenas.get(threading.get_ident())
         if arena is None:
             arena = arenas[threading.get_ident()] = (np.empty(size), np.empty(size))
-        _arena.samples = arena[0]
+        _arena.blocks = arena
         try:
-            with resident_workspace(arena[1]):
-                return run_trial(cfg, *task)
+            return run_trial(cfg, *task)
         finally:
-            _arena.samples = None
+            _arena.blocks = None
 
     with one_blas_thread():
         if n_jobs > 1:

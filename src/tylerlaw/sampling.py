@@ -233,13 +233,11 @@ def sample_population(spec: PopulationSpec, n: int, out: np.ndarray | None = Non
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    if out is not None and not (out.dtype == np.float64 and out.flags.c_contiguous and out.size >= spec.dim * n):
+    out = np.empty(spec.dim * n) if out is None else out
+    if not (out.dtype == np.float64 and out.flags.c_contiguous and out.size >= spec.dim * n):
         raise ValueError(f"out must be a C-contiguous float64 array of at least {spec.dim * n} entries")
     rng = np.random.default_rng(spec.seed)
-    if out is None:
-        u = rng.standard_normal((spec.dim, n))
-    else:
-        u = rng.standard_normal(out=out.reshape(-1)[: spec.dim * n].reshape(spec.dim, n))
+    u = rng.standard_normal(out=out.reshape(-1)[: spec.dim * n].reshape(spec.dim, n))
     u /= np.sqrt(np.einsum("ij,ij->j", u, u))
     r = spec.radial.draw(rng, n)
     if spec.coupling is Coupling.SIGN_U1:

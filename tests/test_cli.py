@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from tylerlaw import _blas, cli
+from tylerlaw import _blas, cli, harness
 from tylerlaw.cli import main
 from tylerlaw.harness import TrialResult
 
@@ -40,21 +40,21 @@ class TestTrialAndSweep:
 
     def test_trial_writes_the_sweeps_record(self, tmp_path, monkeypatch):
         # one trial run alone writes, byte for byte, the line the sweep
-        # writes for its address, on one BLAS thread as in the sweep,
-        # whatever the thread count before
+        # writes for its address, its fit on one BLAS thread as in the
+        # sweep, whatever the thread count before
         cfg = write_config(tmp_path, schedule=[[4, 40], [16, 1600]])
         seen = []
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             seen.append(get())
-            return real(*args)
+            return real(*args, **kwargs)
 
-        real, (get, set_) = cli.run_trial, _blas.openblas_thread_calls()
-        monkeypatch.setattr(cli, "run_trial", spy)
+        real, (get, set_) = harness.tyler, _blas.openblas_thread_calls()
         prior = get()
         set_(2)
         try:
             assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep") == 0
+            monkeypatch.setattr(harness, "tyler", spy)
             args = ("--pair", 1, "--replicate", 1, "--out", tmp_path / "trial")
             assert run_cli("trial", "--config", cfg, *args) == 0
             assert seen == [1] and get() == 2

@@ -436,6 +436,60 @@ class TestTyler:
                 assert report.residual == tyler_residual(X, report.estimate)
 
 
+def fit_bytes(rep):
+    # every field of a report, the estimate as its bytes
+    return rep.estimate.tobytes(), rep.iterations, rep.residual, rep.converged, rep.step_history
+
+
+class TestTylerWorkspace:
+    @pytest.mark.parametrize(
+        "d, n, scaled, spare",
+        [(16, 1600, False, 0), (16, 24, False, 0), (16, 1600, True, 0), (16, 1600, False, 7)],
+        ids=["semicircle", "near-square", "scaled-2^+-300", "larger-block"],
+    )
+    def test_fit_in_work_keeps_the_bits(self, d, n, scaled, spare):
+        X = sample_population(PopulationSpec(d, ScaledFRootRadius(d, 1), seed=n), n)
+        if scaled:  # out of the one-pass range: the fit rescales a copy of X
+            X = X * 2.0 ** np.where(np.arange(n) % 2, 300, -300)
+        work = np.full(d * n + spare, np.nan)
+        assert fit_bytes(tyler(X, work=work)) == fit_bytes(tyler(X))
+        assert np.isnan(work[d * n :]).all()  # only the first d n entries are written
+
+    @pytest.mark.parametrize(
+        "work, message",
+        [
+            (np.empty(12 * 300 - 1), "C-contiguous float64 array of at least 3600 entries"),
+            (np.empty(12 * 300, dtype=np.float32), "C-contiguous float64 array of at least 3600 entries"),
+            (np.empty(2 * 12 * 300)[::2], "C-contiguous float64 array of at least 3600 entries"),
+            (np.empty((300, 12)).T, "C-contiguous float64 array of at least 3600 entries"),
+            (None, "must not overlap the data matrix"),
+        ],
+        ids=["too-small", "float32", "strided", "fortran", "overlapping"],
+    )
+    def test_rejects_an_unfit_work(self, work, message):
+        block = sample_population(PopulationSpec(12, ChiRadius(12), seed=1), 301).ravel()
+        X = block[: 12 * 300].reshape(12, 300)
+        before = X.copy()
+        with pytest.raises(ValueError, match=message):
+            tyler(X, work=block[6:] if work is None else work)
+        np.testing.assert_array_equal(X, before)
+
+    def test_fit_in_work_allocates_no_block(self):
+        # with ``work`` a (64, 6400) fit allocates the (d, d) iterates, q and
+        # the Anderson history: under one (d, n) block (the workspace is one)
+        d, n = 64, 6400
+        X = sample_population(PopulationSpec(d, ScaledFRootRadius(d, 1), seed=3), n)
+        work = np.empty(d * n)
+        tyler(X, work=work)  # first-call allocations of numpy
+        tracemalloc.start()
+        try:
+            rep = tyler(X, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and peak < 8 * d * n
+
+
 class TestTylerResidual:
     def test_zero_at_fixed_point(self):
         assert tyler_residual(scaled_identity_data(3), np.eye(3)) <= 1e-14

@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import json
 import threading
@@ -284,6 +285,24 @@ class TestRunSweep:
         # the one-thread policy below would be a silent no-op
         assert _blas.openblas_thread_calls() is not None
 
+    def test_blas_thread_calls_bound_once(self, blas_threads, monkeypatch):
+        # the (get, set) pair is looked up when _blas is imported: entering
+        # one_blas_thread, nested or not, and a sweep construct no CDLL
+        made, real = [], ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: made.append(args) or real(*args, **kwargs))
+        with _blas.one_blas_thread():
+            with _blas.one_blas_thread():
+                assert blas_threads() == 1
+        run_sweep(small_config(), n_jobs=2)
+        assert made == [] and blas_threads() == 2
+
+    def test_a_sweep_writes_the_thread_count_twice(self, blas_threads, monkeypatch):
+        # on entry and on exit: each trial's own entry finds 1 and writes nothing
+        writes, (get, set_) = [], _blas.openblas_thread_calls()
+        monkeypatch.setattr(_blas, "_THREAD_CALLS", (get, lambda count: writes.append(count) or set_(count)))
+        run_sweep(small_config(), n_jobs=2)
+        assert writes == [1, 2] and blas_threads() == 2
+
     def test_parallel_trials_run_on_one_blas_thread(self, blas_threads, monkeypatch):
         seen = []
 
@@ -311,6 +330,22 @@ class TestRunSweep:
             with pytest.raises(KeyError, match="boom"):
                 run_sweep(small_config(), n_jobs=n_jobs)
             assert blas_threads() == 2
+
+    def test_a_trial_alone_fits_on_one_blas_thread(self, blas_threads, monkeypatch):
+        # outside a sweep too (a warm-up trial, a demo, a library caller):
+        # the fit sees one BLAS thread, and the count is restored after a
+        # trial that succeeds and after one that fails
+        seen, real = [], harness.tyler
+
+        def spy(*args, **kwargs):
+            seen.append(blas_threads())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "tyler", spy)
+        assert not run_trial(small_config(), 0, 0).failed
+        assert seen == [1] and blas_threads() == 2
+        assert run_trial(small_config(max_iter=1, tol=1e-15), 1, 0).failed
+        assert seen == [1, 1] and blas_threads() == 2
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_trials_after_a_threads_first_allocate_no_block(self, monkeypatch, n_jobs):
