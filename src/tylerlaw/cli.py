@@ -71,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a full experiment config")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel trials, as threads; every trial runs on one BLAS thread (output is identical)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel trials, as threads; at 1, with two CPUs or more and a largest "
+                   "sample of 2^14 doubles or more, a helper thread draws each next sample while a trial runs; every trial "
+                   "runs on one BLAS thread (output is identical)")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -228,8 +228,8 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000, *, work: np.ndarray | None
     ValueError
         If n < d or n = d > 1 ("dimension-exceeds-sample"), some column is zero
         ("zero-column"), an entry is nan or inf ("non-finite-entry"),
-        ``tol`` or ``max_iter`` is out of range, or ``work`` is too small, not
-        C-contiguous float64 or overlaps X.
+        ``tol`` or ``max_iter`` is out of range, or ``work`` is not a numpy
+        array, is too small, not C-contiguous float64 or overlaps X.
     NoConvergenceError
         If the cap is reached before the residual meets ``tol`` (a cap reached
         in the complementary problem raises too, with the kernel's residual
@@ -250,7 +250,7 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000, *, work: np.ndarray | None
     if n < d or n == d > 1:  # at n = d > 1 every X D X^t, D > 0 diagonal, solves the equation
         raise ValueError(f"dimension-exceeds-sample: Tyler's estimator requires n > d, got d={d}, n={n}")
     work = np.empty(d * n) if work is None else work
-    if not (work.dtype == np.float64 and work.flags.c_contiguous and work.size >= d * n):
+    if not (isinstance(work, np.ndarray) and work.dtype == np.float64 and work.flags.c_contiguous and work.size >= d * n):
         raise ValueError(f"work must be a C-contiguous float64 array of at least {d * n} entries")
     if np.may_share_memory(work, X):  # the kernel writes into work while it reads X
         raise ValueError("work must not overlap the data matrix")

@@ -18,7 +18,7 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,6 +54,10 @@ def _fit_tyler(cfg: ExperimentConfig, X: np.ndarray, work: np.ndarray | None) ->
 # module when called, so a wrapper installed on those names sees every fit.
 ESTIMATORS = {"covariance": _fit_covariance, "tyler": _fit_tyler}
 
+
+# Doubles in a schedule's largest sample from which a sweep at n_jobs = 1 draws each next sample
+# on a second CPU: below it a draw is too short to hide behind a fit
+_DRAW_AHEAD_MIN = 1 << 14
 
 # Schedule preset -> n/d of its pairs (d, n): d/n -> 0 for the semicircle, y = 1/4 for MP
 _PRESET_RATIOS = {"semicircle": 100, "mp": 4}
@@ -170,13 +174,22 @@ class TrialResult(Record):
         return cls.from_dict(json.loads(line))
 
 
-# ``blocks``: the (samples, Tyler workspace) arena that ``run_sweep`` lends this thread's trial
+# ``blocks``: the (samples, Tyler workspace) arena that ``run_sweep`` lends this thread's trial,
+# samples a block to draw into or the Future of the sample the sweep drew ahead
 _arena = threading.local()
+
+
+def _draw(cfg: ExperimentConfig, pair_index: int, replicate: int, out: np.ndarray | None) -> np.ndarray:
+    d, n = cfg.schedule[pair_index]
+    return sample_population(cfg.population.instantiate(d, derive_seed(cfg.base_seed, pair_index, replicate)), n, out)
 
 
 def run_trial(cfg: ExperimentConfig, pair_index: int, replicate: int) -> TrialResult:
     """Run one seeded trial on one BLAS thread; its errors yield a failed record, an address outside
-    cfg a ValueError."""
+    cfg a ValueError.
+
+    The trial draws its sample, unless ``run_sweep`` drew it ahead: then it takes that sample from
+    the sweep's arena, and a draw that raised fails the trial as the same draw would here."""
     if not (0 <= pair_index < len(cfg.schedule) and 0 <= replicate < cfg.replicates):
         raise ValueError(f"pair_index must be in 0..{len(cfg.schedule) - 1} and replicate in 0..{cfg.replicates - 1}")
     d, n = cfg.schedule[pair_index]
@@ -185,7 +198,7 @@ def run_trial(cfg: ExperimentConfig, pair_index: int, replicate: int) -> TrialRe
     samples, work = getattr(_arena, "blocks", None) or (None, None)
     with one_blas_thread():
         try:
-            X = sample_population(cfg.population.instantiate(d, seed), n, samples)
+            X = samples.result() if isinstance(samples, Future) else _draw(cfg, pair_index, replicate, samples)
             mats: dict[str, np.ndarray] = {}
             spectra: dict[str, np.ndarray] = {}
             for tag in cfg.estimators:
@@ -295,7 +308,7 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
     """Run every (pair, replicate) trial; parallelism never changes the output.
 
     Each trial derives its own seed, so any execution order yields the same
-    records; both paths return them in (pair, replicate) order.
+    records; every path returns them in (pair, replicate) order.
     Every trial runs on one BLAS thread, and cores are used through
     ``n_jobs`` trial threads: the process-wide thread count of scipy's
     OpenBLAS is 1 until the sweep returns or raises, at any ``n_jobs``.
@@ -304,12 +317,21 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
     into the first and pass the second to their Tyler fits as ``work``,
     so they allocate no (d, n) array.  The arenas are freed with
     this call's frame.
+
+    At ``n_jobs`` 1, when this thread may run on two CPUs or more and the
+    largest sample holds at least ``_DRAW_AHEAD_MIN`` doubles, one helper
+    thread draws each trial's sample while the trial before it runs, into
+    two sample blocks in turn: the arena holds three.  The helper is pinned
+    to one of the CPUs and this thread to the others, since a woken thread
+    is otherwise placed on its waker's CPU; this thread's CPU mask is
+    restored and the helper joined before the call returns or raises.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     start = time.perf_counter()
     tasks = [(i, r) for i in range(len(cfg.schedule)) for r in range(cfg.replicates)]
     size = max(d * n for d, n in cfg.schedule)
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
     arenas = {}  # trial thread -> its arena
 
     def trial(task):
@@ -326,10 +348,35 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
         if n_jobs > 1:
             with ThreadPoolExecutor(max_workers=n_jobs) as pool:
                 trials = list(pool.map(trial, tasks))
+        elif len(cpus) > 1 and size >= _DRAW_AHEAD_MIN:
+            trials = _run_drawing_ahead(cfg, tasks, size, cpus)
         else:
             trials = [trial(t) for t in tasks]
     summary = summarize_sweep(cfg, trials)
     return SweepResult(config=cfg, trials=trials, summary=summary, wall_time=time.perf_counter() - start)
+
+
+def _run_drawing_ahead(cfg: ExperimentConfig, tasks: list, size: int, cpus: set[int]) -> list[TrialResult]:
+    """``run_sweep``'s serial trials, each sample drawn by a helper pinned to one CPU of ``cpus``
+    while this thread, pinned to the rest, runs the trial before it."""
+    samples, work, helper = (np.empty(size), np.empty(size)), np.empty(size), max(cpus)
+    with ThreadPoolExecutor(1, initializer=os.sched_setaffinity, initargs=(0, {helper})) as pool:
+
+        def draw(k):  # into the block that trial k - 2 used, which has returned
+            return pool.submit(_draw, cfg, *tasks[k], samples[k % 2]) if k < len(tasks) else None
+
+        os.sched_setaffinity(0, cpus - {helper})
+        try:
+            trials, ahead = [], draw(0)
+            for k, task in enumerate(tasks):
+                _arena.blocks, ahead = (ahead, work), draw(k + 1)
+                try:
+                    trials.append(run_trial(cfg, *task))
+                finally:
+                    _arena.blocks = None
+        finally:
+            os.sched_setaffinity(0, cpus)
+    return trials
 
 
 def _atomic_write_text(path: Path, text: str):

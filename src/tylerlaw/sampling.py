@@ -229,12 +229,13 @@ def sample_population(spec: PopulationSpec, n: int, out: np.ndarray | None = Non
     place, and the norms come from einsum, so the draw makes no (dim, n)
     temporary; for n >= 2 they are ``np.linalg.norm``'s bits.  With ``out``,
     a C-contiguous float64 array of at least dim * n entries, X is written
-    into its first dim * n entries and returned as a view of them.
+    into its first dim * n entries and returned as a view of them; any
+    other ``out``, a list among them, raises ValueError.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     out = np.empty(spec.dim * n) if out is None else out
-    if not (out.dtype == np.float64 and out.flags.c_contiguous and out.size >= spec.dim * n):
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.flags.c_contiguous and out.size >= spec.dim * n):
         raise ValueError(f"out must be a C-contiguous float64 array of at least {spec.dim * n} entries")
     rng = np.random.default_rng(spec.seed)
     u = rng.standard_normal(out=out.reshape(-1)[: spec.dim * n].reshape(spec.dim, n))

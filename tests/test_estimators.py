@@ -462,9 +462,10 @@ class TestTylerWorkspace:
             (np.empty(12 * 300, dtype=np.float32), "C-contiguous float64 array of at least 3600 entries"),
             (np.empty(2 * 12 * 300)[::2], "C-contiguous float64 array of at least 3600 entries"),
             (np.empty((300, 12)).T, "C-contiguous float64 array of at least 3600 entries"),
+            ([0.0] * (12 * 300), "C-contiguous float64 array of at least 3600 entries"),
             (None, "must not overlap the data matrix"),
         ],
-        ids=["too-small", "float32", "strided", "fortran", "overlapping"],
+        ids=["too-small", "float32", "strided", "fortran", "list", "overlapping"],
     )
     def test_rejects_an_unfit_work(self, work, message):
         block = sample_population(PopulationSpec(12, ChiRadius(12), seed=1), 301).ravel()

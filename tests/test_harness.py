@@ -1,9 +1,12 @@
 import ctypes
 import itertools
 import json
+import os
+import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -24,6 +27,10 @@ from tylerlaw import (
 )
 from tylerlaw import _blas, harness
 from tylerlaw.harness import TrialResult
+
+
+# whether a sweep at n_jobs 1 draws ahead here, given a sample of at least 2^14 doubles
+DRAWS_AHEAD = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
 def small_config(**overrides):
@@ -349,32 +356,52 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_trials_after_a_threads_first_allocate_no_block(self, monkeypatch, n_jobs):
-        # every trial thread draws its samples and fits them in its arena:
-        # after a thread's first trial, no trial's traced peak reaches one
-        # (d, n) block.  The lock runs one trial at a time, so each traced
-        # peak is one trial's
-        lock, threads, peaks = threading.Lock(), set(), []
-        real = harness.run_trial
+        # every trial thread draws its samples and fits them in its arena, and
+        # at n_jobs 1 a helper draws them ahead into the arena's spare blocks:
+        # after a thread's first trial or draw, no trial's or draw's traced
+        # peak reaches one (d, n) block.  tracemalloc's peak covers every
+        # thread, so the lock runs one trial or drawn-ahead sample at a time
+        # and each traced peak is its own; a trial's own draw is in its peak
+        lock, nested, firsts, peaks = threading.RLock(), threading.local(), set(), {"trial": [], "draw": []}
 
-        def traced(cfg, i, r):
-            with lock:
-                tracemalloc.reset_peak()
-                start = tracemalloc.get_traced_memory()[0]
-                trial = real(cfg, i, r)
-                d, n = cfg.schedule[i]
-                if threading.get_ident() in threads:
-                    peaks.append((tracemalloc.get_traced_memory()[1] - start) / (8 * d * n))
-                threads.add(threading.get_ident())
-                assert not trial.failed
-                return trial
+        def traced(kind, real, shape):
+            def call(*args):
+                with lock:
+                    if getattr(nested, "on", False):
+                        return real(*args)
+                    nested.on = True
+                    tracemalloc.reset_peak()
+                    start = tracemalloc.get_traced_memory()[0]
+                    try:
+                        result = real(*args)
+                    finally:
+                        nested.on = False
+                    d, n = shape(*args)
+                    if (kind, threading.get_ident()) in firsts:
+                        peaks[kind].append((tracemalloc.get_traced_memory()[1] - start) / (8 * d * n))
+                    firsts.add((kind, threading.get_ident()))
+                    return result
 
-        monkeypatch.setattr(harness, "run_trial", traced)
+            return call
+
+        run, draw = traced("trial", harness.run_trial, lambda cfg, i, r: cfg.schedule[i]), harness.sample_population
+
+        def trial(cfg, i, r):
+            samples = harness._arena.blocks[0]
+            if isinstance(samples, Future):  # drawn ahead under the lock: waited for outside it
+                samples.result()
+            return run(cfg, i, r)
+
+        monkeypatch.setattr(harness, "run_trial", trial)
+        monkeypatch.setattr(harness, "sample_population", traced("draw", draw, lambda spec, n, out: (spec.dim, n)))
         tracemalloc.start()
         try:
-            run_sweep(small_config(schedule=((16, 1600), (32, 3200)), replicates=3), n_jobs=n_jobs)
+            result = run_sweep(small_config(schedule=((16, 1600), (32, 3200)), replicates=3), n_jobs=n_jobs)
         finally:
             tracemalloc.stop()
-        assert len(peaks) == 6 - len(threads) and max(peaks) < 1
+        threads = {thread for kind, thread in firsts if kind == "trial"}
+        assert not any(t.failed for t in result.trials) and len(peaks["trial"]) == 6 - len(threads)
+        assert max(peaks["trial"] + peaks["draw"]) < 1
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_arenas_released_when_the_sweep_returns_or_raises(self, monkeypatch, n_jobs):
@@ -394,7 +421,7 @@ class TestRunSweep:
         try:
             before = tracemalloc.get_traced_memory()[0]
             result = run_sweep(cfg, n_jobs=n_jobs)
-            returned = tracemalloc.get_traced_memory()[0] - before
+            returned, peak = (m - before for m in tracemalloc.get_traced_memory())
             monkeypatch.setattr(harness, "summarize", summarize_until_the_sixth)
             try:
                 run_sweep(cfg, n_jobs=n_jobs)
@@ -405,6 +432,8 @@ class TestRunSweep:
             tracemalloc.stop()
         assert len(result.trials) == 4
         block = 8 * 32 * 3200
+        # a trial thread's two blocks, or the three of a sweep that draws ahead
+        assert peak >= (3 if n_jobs == 1 and DRAWS_AHEAD else 2) * block
         assert returned < block / 4 and raised < block / 4
 
     def test_variance_slope_reported(self):
@@ -452,6 +481,104 @@ class TestRunSweep:
             dx = [v - sum(x) / len(x) for v in x]
             exact = float(sum(a * b for a, b in zip(dx, y)) / sum(a * a for a in dx))
             assert abs(summary.variance_slope - exact) <= 1e-14 * max(1.0, abs(exact))
+
+
+two_cpus = pytest.mark.skipif(not DRAWS_AHEAD, reason="a sweep draws ahead on two CPUs or more")
+
+
+def one_cpu(monkeypatch):
+    """Let sweeps see one CPU of this thread's mask, so that n_jobs 1 draws inline."""
+    real = os.sched_getaffinity
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(real(pid))})
+
+
+def draw_threads(monkeypatch, masks=None):
+    """The threads on which the sweeps' samples are drawn, in draw order; their CPU masks go to
+    ``masks`` if given."""
+    seen, real = [], harness.sample_population
+
+    def spy(*args):
+        seen.append(threading.current_thread())
+        if masks is not None:
+            masks.append(os.sched_getaffinity(0))
+        return real(*args)
+
+    monkeypatch.setattr(harness, "sample_population", spy)
+    return seen
+
+
+@two_cpus
+class TestDrawAhead:
+    # a (16, 1600) sample holds 25600 doubles, past the size from which a
+    # sweep at n_jobs 1 draws each next sample on a helper thread
+    cfg = small_config(schedule=((8, 800), (16, 1600)), replicates=3)
+
+    def test_every_path_writes_the_same_trials(self, tmp_path, monkeypatch):
+        # drawn ahead, drawn inline and drawn by each pool thread, with the
+        # interpreter switching threads often so that a draw into a block
+        # still in use would show in the bytes
+        seen = draw_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ahead = write_results(run_sweep(self.cfg, n_jobs=1), tmp_path / "ahead") / "trials.json"
+            assert len(seen) == 6 and threading.current_thread() not in seen
+            parallel = write_results(run_sweep(self.cfg, n_jobs=2), tmp_path / "parallel") / "trials.json"
+            one_cpu(monkeypatch)
+            seen.clear()
+            inline = write_results(run_sweep(self.cfg, n_jobs=1), tmp_path / "inline") / "trials.json"
+            assert seen == [threading.current_thread()] * 6
+        finally:
+            sys.setswitchinterval(interval)
+        assert ahead.read_bytes() == inline.read_bytes() == parallel.read_bytes()
+
+    def test_a_draw_that_raises_fails_its_trial_on_both_serial_paths(self, monkeypatch):
+        real, bad = harness.sample_population, derive_seed(self.cfg.base_seed, 1, 1)
+
+        def draw(spec, n, out):
+            if spec.seed == bad:
+                raise ValueError("no sample")
+            return real(spec, n, out)
+
+        monkeypatch.setattr(harness, "sample_population", draw)
+        ahead = run_sweep(self.cfg, n_jobs=1).trials
+        one_cpu(monkeypatch)
+        inline = run_sweep(self.cfg, n_jobs=1).trials
+        assert [t.to_json_line() for t in ahead] == [t.to_json_line() for t in inline]
+        assert [t.error for t in ahead] == [None] * 4 + ["ValueError: no sample", None]
+
+    def test_the_callers_cpu_mask_is_restored(self, monkeypatch):
+        # during the sweep the caller runs on all but the helper's CPU, the
+        # helper on that one; after it the caller's mask is whole again,
+        # whether the sweep returns or a trial raises
+        cpus, masks, helper_masks, real = os.sched_getaffinity(0), [], [], harness.run_trial
+        seen = draw_threads(monkeypatch, helper_masks)
+
+        def trial(cfg, i, r):
+            masks.append(os.sched_getaffinity(0))
+            if (i, r) == (1, 1) and raising:
+                raise KeyError("boom")
+            return real(cfg, i, r)
+
+        monkeypatch.setattr(harness, "run_trial", trial)
+        for raising in (False, True):
+            masks.clear()
+            if raising:
+                with pytest.raises(KeyError, match="boom"):
+                    run_sweep(self.cfg, n_jobs=1)
+            else:
+                run_sweep(self.cfg, n_jobs=1)
+            assert masks and all(m == cpus - {max(cpus)} for m in masks)
+            assert helper_masks and all(m == {max(cpus)} for m in helper_masks)
+            assert os.sched_getaffinity(0) == cpus
+        assert not any(t.is_alive() for t in seen)
+
+    def test_no_helper_thread_outlives_the_sweep(self, monkeypatch):
+        before = set(threading.enumerate())
+        seen = draw_threads(monkeypatch)
+        run_sweep(self.cfg, n_jobs=1)
+        assert seen and not any(t.is_alive() for t in seen)
+        assert set(threading.enumerate()) == before
 
 
 class TestPersistence:

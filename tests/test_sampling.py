@@ -257,8 +257,11 @@ class TestSamplePopulation:
 
     @pytest.mark.parametrize(
         "out",
-        [np.empty(12 * 300 - 1), np.empty(12 * 300, dtype=np.float32), np.empty(2 * 12 * 300)[::2], np.empty((300, 12)).T],
-        ids=["too-small", "float32", "strided", "fortran"],
+        [
+            np.empty(12 * 300 - 1), np.empty(12 * 300, dtype=np.float32), np.empty(2 * 12 * 300)[::2], np.empty((300, 12)).T,
+            [0.0] * (12 * 300),
+        ],
+        ids=["too-small", "float32", "strided", "fortran", "list"],
     )
     def test_draw_rejects_an_unfit_out(self, out):
         with pytest.raises(ValueError, match="C-contiguous float64 array of at least 3600 entries"):
