@@ -174,31 +174,27 @@ class TrialResult(Record):
         return cls.from_dict(json.loads(line))
 
 
-# ``blocks``: the (samples, Tyler workspace) arena that ``run_sweep`` lends this thread's trial,
-# samples a block to draw into or the Future of the sample the sweep drew ahead
-_arena = threading.local()
-
-
 def _draw(cfg: ExperimentConfig, pair_index: int, replicate: int, out: np.ndarray | None) -> np.ndarray:
     d, n = cfg.schedule[pair_index]
     return sample_population(cfg.population.instantiate(d, derive_seed(cfg.base_seed, pair_index, replicate)), n, out)
 
 
-def run_trial(cfg: ExperimentConfig, pair_index: int, replicate: int) -> TrialResult:
+def run_trial(cfg: ExperimentConfig, pair_index: int, replicate: int, *, sample: np.ndarray | Future | None = None,
+              work: np.ndarray | None = None) -> TrialResult:
     """Run one seeded trial on one BLAS thread; its errors yield a failed record, an address outside
     cfg a ValueError.
 
-    The trial draws its sample, unless ``run_sweep`` drew it ahead: then it takes that sample from
-    the sweep's arena, and a draw that raised fails the trial as the same draw would here."""
+    ``sample`` is a block of at least d * n doubles to draw the sample into, or the Future of the
+    sample drawn ahead, whose draw, if it raised, fails the trial as the same draw would here;
+    ``work`` is ``tyler``'s workspace.  Without them the trial allocates its own."""
     if not (0 <= pair_index < len(cfg.schedule) and 0 <= replicate < cfg.replicates):
         raise ValueError(f"pair_index must be in 0..{len(cfg.schedule) - 1} and replicate in 0..{cfg.replicates - 1}")
     d, n = cfg.schedule[pair_index]
     seed = derive_seed(cfg.base_seed, pair_index, replicate)
     trial = TrialResult(pair_index=pair_index, replicate=replicate, d=d, n=n, seed=seed, results={})
-    samples, work = getattr(_arena, "blocks", None) or (None, None)
     with one_blas_thread():
         try:
-            X = samples.result() if isinstance(samples, Future) else _draw(cfg, pair_index, replicate, samples)
+            X = sample.result() if isinstance(sample, Future) else _draw(cfg, pair_index, replicate, sample)
             mats: dict[str, np.ndarray] = {}
             spectra: dict[str, np.ndarray] = {}
             for tag in cfg.estimators:
@@ -312,16 +308,16 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
     Every trial runs on one BLAS thread, and cores are used through
     ``n_jobs`` trial threads: the process-wide thread count of scipy's
     OpenBLAS is 1 until the sweep returns or raises, at any ``n_jobs``.
-    Each trial thread makes one arena at its first trial, two blocks of
-    the schedule's largest d * n doubles: its trials draw their samples
-    into the first and pass the second to their Tyler fits as ``work``,
-    so they allocate no (d, n) array.  The arenas are freed with
-    this call's frame.
+    Each trial thread makes two blocks of the schedule's largest d * n
+    doubles at its first trial and hands them to each of its trials as
+    ``run_trial``'s ``sample`` and ``work``, so the trials allocate no
+    (d, n) array.  The blocks are freed with this call's frame.
 
     At ``n_jobs`` 1, when this thread may run on two CPUs or more and the
     largest sample holds at least ``_DRAW_AHEAD_MIN`` doubles, one helper
     thread draws each trial's sample while the trial before it runs, into
-    two sample blocks in turn: the arena holds three.  The helper is pinned
+    two sample blocks in turn, and the trial gets the draw's Future as
+    ``sample``: the sweep holds three blocks.  The helper is pinned
     to one of the CPUs and this thread to the others, since a woken thread
     is otherwise placed on its waker's CPU; this thread's CPU mask is
     restored and the helper joined before the call returns or raises.
@@ -332,17 +328,12 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
     tasks = [(i, r) for i in range(len(cfg.schedule)) for r in range(cfg.replicates)]
     size = max(d * n for d, n in cfg.schedule)
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
-    arenas = {}  # trial thread -> its arena
+    blocks = threading.local()  # each trial thread's sample and workspace blocks
 
     def trial(task):
-        arena = arenas.get(threading.get_ident())
-        if arena is None:
-            arena = arenas[threading.get_ident()] = (np.empty(size), np.empty(size))
-        _arena.blocks = arena
-        try:
-            return run_trial(cfg, *task)
-        finally:
-            _arena.blocks = None
+        if not hasattr(blocks, "sample"):
+            blocks.sample, blocks.work = np.empty(size), np.empty(size)
+        return run_trial(cfg, *task, sample=blocks.sample, work=blocks.work)
 
     with one_blas_thread():
         if n_jobs > 1:
@@ -369,11 +360,8 @@ def _run_drawing_ahead(cfg: ExperimentConfig, tasks: list, size: int, cpus: set[
         try:
             trials, ahead = [], draw(0)
             for k, task in enumerate(tasks):
-                _arena.blocks, ahead = (ahead, work), draw(k + 1)
-                try:
-                    trials.append(run_trial(cfg, *task))
-                finally:
-                    _arena.blocks = None
+                sample, ahead = ahead, draw(k + 1)
+                trials.append(run_trial(cfg, *task, sample=sample, work=work))
         finally:
             os.sched_setaffinity(0, cpus)
     return trials

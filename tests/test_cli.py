@@ -157,7 +157,7 @@ class TestTrialAndSweep:
         # overflows to inf: the slope fit fails numerically, not as a config error
         crosses = [(0.0, 1e300), (0.0, 1.0), (0.0, 2.0)]
 
-        def fake_trial(cfg, i, r):
+        def fake_trial(cfg, i, r, **blocks):
             d, n = cfg.schedule[i]
             return TrialResult(pair_index=i, replicate=r, d=d, n=n, seed=0, results={}, cross_norm=crosses[i][r])
 

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,10 @@ from tylerlaw import (
 )
 from tylerlaw import _blas, harness
 from tylerlaw.harness import TrialResult
+
+# the benchmark's span recorder, imported from its directory as the benchmark's own tests do
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from spans import Recorder, installed  # noqa: E402
 
 
 # whether a sweep at n_jobs 1 draws ahead here, given a sample of at least 2^14 doubles
@@ -236,6 +241,35 @@ class TestRunTrial:
         with pytest.raises(ValueError, match=r"pair_index must be in 0\.\.1 and replicate in 0\.\.2"):
             run_trial(cfg, pair_index, replicate)
 
+    def test_given_blocks_change_no_byte(self):
+        cfg = small_config()
+        given = run_trial(cfg, 1, 2, sample=np.empty(8 * 80), work=np.empty(8 * 80))
+        assert given.to_json_line() == run_trial(cfg, 1, 2).to_json_line()
+
+    def test_the_sample_is_drawn_into_sample_and_fitted_in_work(self, monkeypatch):
+        seen, real = [], harness.tyler
+
+        def spy(X, *args, work=None, **kwargs):
+            seen.append((X, work))
+            return real(X, *args, work=work, **kwargs)
+
+        monkeypatch.setattr(harness, "tyler", spy)
+        sample, work = np.empty(8 * 80), np.empty(8 * 80)
+        assert not run_trial(small_config(), 1, 0, sample=sample, work=work).failed
+        [(X, given)] = seen
+        assert given is work and np.shares_memory(X, sample)
+
+    def test_one_block_as_both_fails_the_trial(self):
+        # the fit would overwrite its own data: the trial fails, with no fit recorded
+        block = np.empty(8 * 80)
+        t = run_trial(small_config(), 1, 0, sample=block, work=block)
+        assert t.failed and t.results == {} and t.cross_norm is None
+        assert "work must not overlap the data matrix" in t.error
+
+    def test_no_module_level_thread_local(self):
+        # a sweep hands each trial its blocks as arguments, through no module state
+        assert not any(isinstance(v, threading.local) for v in vars(harness).values())
+
 
 @pytest.fixture
 def blas_threads():
@@ -313,9 +347,9 @@ class TestRunSweep:
     def test_parallel_trials_run_on_one_blas_thread(self, blas_threads, monkeypatch):
         seen = []
 
-        def spy(cfg, i, r):
+        def spy(cfg, i, r, **blocks):
             seen.append(blas_threads())
-            return real(cfg, i, r)
+            return real(cfg, i, r, **blocks)
 
         real = harness.run_trial
         monkeypatch.setattr(harness, "run_trial", spy)
@@ -328,7 +362,7 @@ class TestRunSweep:
         assert blas_threads() == 2
 
     def test_blas_threads_restored_when_a_trial_raises(self, blas_threads, monkeypatch):
-        def boom(cfg, i, r):
+        def boom(cfg, i, r, **blocks):
             assert blas_threads() == 1
             raise KeyError("boom")
 
@@ -356,8 +390,8 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_trials_after_a_threads_first_allocate_no_block(self, monkeypatch, n_jobs):
-        # every trial thread draws its samples and fits them in its arena, and
-        # at n_jobs 1 a helper draws them ahead into the arena's spare blocks:
+        # every trial thread draws its samples and fits them in its two blocks,
+        # and at n_jobs 1 a helper draws them ahead into two spare blocks:
         # after a thread's first trial or draw, no trial's or draw's traced
         # peak reaches one (d, n) block.  tracemalloc's peak covers every
         # thread, so the lock runs one trial or drawn-ahead sample at a time
@@ -365,15 +399,15 @@ class TestRunSweep:
         lock, nested, firsts, peaks = threading.RLock(), threading.local(), set(), {"trial": [], "draw": []}
 
         def traced(kind, real, shape):
-            def call(*args):
+            def call(*args, **kwargs):
                 with lock:
                     if getattr(nested, "on", False):
-                        return real(*args)
+                        return real(*args, **kwargs)
                     nested.on = True
                     tracemalloc.reset_peak()
                     start = tracemalloc.get_traced_memory()[0]
                     try:
-                        result = real(*args)
+                        result = real(*args, **kwargs)
                     finally:
                         nested.on = False
                     d, n = shape(*args)
@@ -386,11 +420,10 @@ class TestRunSweep:
 
         run, draw = traced("trial", harness.run_trial, lambda cfg, i, r: cfg.schedule[i]), harness.sample_population
 
-        def trial(cfg, i, r):
-            samples = harness._arena.blocks[0]
-            if isinstance(samples, Future):  # drawn ahead under the lock: waited for outside it
-                samples.result()
-            return run(cfg, i, r)
+        def trial(cfg, i, r, *, sample, work):
+            if isinstance(sample, Future):  # drawn ahead under the lock: waited for outside it
+                sample.result()
+            return run(cfg, i, r, sample=sample, work=work)
 
         monkeypatch.setattr(harness, "run_trial", trial)
         monkeypatch.setattr(harness, "sample_population", traced("draw", draw, lambda spec, n, out: (spec.dim, n)))
@@ -554,11 +587,11 @@ class TestDrawAhead:
         cpus, masks, helper_masks, real = os.sched_getaffinity(0), [], [], harness.run_trial
         seen = draw_threads(monkeypatch, helper_masks)
 
-        def trial(cfg, i, r):
+        def trial(cfg, i, r, **blocks):
             masks.append(os.sched_getaffinity(0))
             if (i, r) == (1, 1) and raising:
                 raise KeyError("boom")
-            return real(cfg, i, r)
+            return real(cfg, i, r, **blocks)
 
         monkeypatch.setattr(harness, "run_trial", trial)
         for raising in (False, True):
@@ -579,6 +612,30 @@ class TestDrawAhead:
         run_sweep(self.cfg, n_jobs=1)
         assert seen and not any(t.is_alive() for t in seen)
         assert set(threading.enumerate()) == before
+
+
+class TestBenchmarkSpans:
+    @pytest.mark.parametrize("path", [pytest.param("ahead", marks=two_cpus), "inline", "pool"])
+    def test_the_span_wrappers_carry_the_blocks(self, tmp_path, monkeypatch, path):
+        # the benchmark replaces run_trial and sample_population by name with spans that
+        # forward *args and **kwargs: each trial still gets its blocks and is timed once
+        if path == "inline":
+            one_cpu(monkeypatch)
+        cfg, n_jobs = TestDrawAhead.cfg, 2 if path == "pool" else 1
+        plain = write_results(run_sweep(cfg, n_jobs=n_jobs), tmp_path / "plain") / "trials.json"
+        works, real = [], harness.tyler
+
+        def spy(*args, work=None, **kwargs):
+            works.append(work)
+            return real(*args, work=work, **kwargs)
+
+        monkeypatch.setattr(harness, "tyler", spy)
+        with installed(Recorder()) as recorder:
+            wrapped = write_results(run_sweep(cfg, n_jobs=n_jobs), tmp_path / "wrapped") / "trials.json"
+        names = [s.name for s in recorder.spans]
+        assert names.count("harness.trial") == names.count("sampling") == 6
+        assert len(works) == 6 and all(w is not None and w.size == 16 * 1600 for w in works)
+        assert wrapped.read_bytes() == plain.read_bytes()
 
 
 class TestPersistence:
