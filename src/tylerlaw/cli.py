@@ -16,6 +16,7 @@ cross-norm variance overflowed before the slope fit); 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -54,6 +55,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # one parser a process: each build leaves reference cycles of help formatters
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tylerlaw",
@@ -80,8 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:  # numerical failures first: numpy's LinAlgError is a ValueError
         return args.func(args)
     except (NoConvergenceError, OverflowError, np.linalg.LinAlgError) as exc:

@@ -89,16 +89,18 @@ def _as_data_matrix(X) -> np.ndarray:
     return X
 
 
-def _in_range(X: np.ndarray) -> bool:
-    # one pass in place of `_as_data_matrix`'s scan and `_rescale_columns`:
-    # when every column's sum of squares s lies in [2^-400, 2^400], X is
+def _checked_data(X) -> np.ndarray:
+    # `_rescale_columns(_as_data_matrix(X))`, skipped after one pass when
+    # every column's sum of squares s lies in [2^-400, 2^400]: then X is
     # finite (a nan fails the test) and has no zero column, and each column's
     # peak, in [sqrt(s / d), sqrt(s)], lies within 2^+-256 for d < 2^112, so
     # both would keep X as it is
-    if X.ndim != 2 or X.shape[0] >= 2**112:
-        return False
-    squares = np.einsum("ij,ij->j", X, X)
-    return bool(np.all((squares >= 2.0**-400) & (squares <= 2.0**400)))
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 2 and X.shape[0] < 2**112:
+        squares = np.einsum("ij,ij->j", X, X)
+        if np.all((squares >= 2.0**-400) & (squares <= 2.0**400)):
+            return X
+    return _rescale_columns(_as_data_matrix(X))
 
 
 def _rescale_columns(X: np.ndarray) -> np.ndarray:
@@ -150,7 +152,7 @@ def _quadratic_forms(X: np.ndarray, omega: np.ndarray | None, work: np.ndarray) 
         return np.einsum("ij,ij->i", X.T, X.T)
     np.copyto(work, X.T)
     if omega is not None:
-        # no finiteness scans: X has passed `_in_range` or `_as_data_matrix`, and
+        # no finiteness scans: X has passed `_checked_data`, and
         # omega is an iterate `tyler` found finite or a shape `tyler_residual` has checked
         L, info = _blas.dpotrf(omega, lower=1, clean=0)
         if info != 0:
@@ -238,11 +240,8 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000, *, work: np.ndarray | None
         definiteness, residual ``inf``); carries the partial report (trace
         still d).  Columns concentrated on a subspace end either way.
     """
-    X = np.asarray(X, dtype=float)
-    in_range = _in_range(X)
-    if not in_range:
-        X = _as_data_matrix(X)
-    d, n = X.shape
+    data = _checked_data(X)
+    d, n = data.shape
     if not 0 < tol < math.inf:  # nan fails too, and would stop every fit at once
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
@@ -252,10 +251,10 @@ def tyler(X, tol: float = 1e-9, max_iter: int = 1000, *, work: np.ndarray | None
     work = np.empty(d * n) if work is None else work
     if not (isinstance(work, np.ndarray) and work.dtype == np.float64 and work.flags.c_contiguous and work.size >= d * n):
         raise ValueError(f"work must be a C-contiguous float64 array of at least {d * n} entries")
-    if np.may_share_memory(work, X):  # the kernel writes into work while it reads X
+    if np.may_share_memory(work, X):  # X as given: the kernel writes into work while it reads the data
         raise ValueError("work must not overlap the data matrix")
     work = work.reshape(-1)[: d * n].reshape(d, n).T  # (n, d), Fortran-ordered
-    return _fit(X if in_range else _rescale_columns(X), tol, max_iter, [], work)
+    return _fit(data, tol, max_iter, [], work)
 
 
 def _evaluate(X, omega, steps, work, start=False):
@@ -448,9 +447,7 @@ def tyler_residual(X, shape) -> float:
         symmetric to roundoff ("non-symmetric"), or is numerically singular
         or not positive definite (condition above 1e14, "singular-shape").
     """
-    X = np.asarray(X, dtype=float)
-    if not _in_range(X):
-        X = _rescale_columns(_as_data_matrix(X))
+    X = _checked_data(X)
     shape = np.asarray(shape, dtype=float)
     w = symmetric_eigenvalues(shape)
     if w[0] <= 0 or w[-1] / w[0] > _COND_LIMIT:

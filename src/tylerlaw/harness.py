@@ -317,10 +317,11 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
     largest sample holds at least ``_DRAW_AHEAD_MIN`` doubles, one helper
     thread draws each trial's sample while the trial before it runs, into
     two sample blocks in turn, and the trial gets the draw's Future as
-    ``sample``: the sweep holds three blocks.  The helper is pinned
-    to one of the CPUs and this thread to the others, since a woken thread
-    is otherwise placed on its waker's CPU; this thread's CPU mask is
-    restored and the helper joined before the call returns or raises.
+    ``sample``: the sweep holds three blocks.  The helper is pinned to one
+    CPU, since a woken thread is otherwise placed on its waker's, and joined
+    before the call returns or raises.  The call writes no state of this
+    thread: the only process state it changes is the OpenBLAS thread count,
+    which it restores, and the only CPU mask it sets is the helper's.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -340,30 +341,26 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:
             with ThreadPoolExecutor(max_workers=n_jobs) as pool:
                 trials = list(pool.map(trial, tasks))
         elif len(cpus) > 1 and size >= _DRAW_AHEAD_MIN:
-            trials = _run_drawing_ahead(cfg, tasks, size, cpus)
+            trials = _run_drawing_ahead(cfg, tasks, size, max(cpus))
         else:
             trials = [trial(t) for t in tasks]
     summary = summarize_sweep(cfg, trials)
     return SweepResult(config=cfg, trials=trials, summary=summary, wall_time=time.perf_counter() - start)
 
 
-def _run_drawing_ahead(cfg: ExperimentConfig, tasks: list, size: int, cpus: set[int]) -> list[TrialResult]:
-    """``run_sweep``'s serial trials, each sample drawn by a helper pinned to one CPU of ``cpus``
-    while this thread, pinned to the rest, runs the trial before it."""
-    samples, work, helper = (np.empty(size), np.empty(size)), np.empty(size), max(cpus)
+def _run_drawing_ahead(cfg: ExperimentConfig, tasks: list, size: int, helper: int) -> list[TrialResult]:
+    """``run_sweep``'s serial trials, each sample drawn by a helper pinned to CPU ``helper`` while
+    this thread runs the trial before it."""
+    samples, work = (np.empty(size), np.empty(size)), np.empty(size)
     with ThreadPoolExecutor(1, initializer=os.sched_setaffinity, initargs=(0, {helper})) as pool:
 
         def draw(k):  # into the block that trial k - 2 used, which has returned
             return pool.submit(_draw, cfg, *tasks[k], samples[k % 2]) if k < len(tasks) else None
 
-        os.sched_setaffinity(0, cpus - {helper})
-        try:
-            trials, ahead = [], draw(0)
-            for k, task in enumerate(tasks):
-                sample, ahead = ahead, draw(k + 1)
-                trials.append(run_trial(cfg, *task, sample=sample, work=work))
-        finally:
-            os.sched_setaffinity(0, cpus)
+        trials, ahead = [], draw(0)
+        for k, task in enumerate(tasks):
+            sample, ahead = ahead, draw(k + 1)
+            trials.append(run_trial(cfg, *task, sample=sample, work=work))
     return trials
 
 

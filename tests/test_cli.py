@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -192,6 +193,25 @@ def test_module_entry_point(tmp_path):
 def test_parser_has_trial_and_sweep_only():
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     assert sorted(sub.choices) == ["sweep", "trial"]
+
+
+def test_a_warm_sweep_call_leaves_no_argparse_garbage(tmp_path):
+    # a parser built per call leaves its help formatters in reference cycles
+    # for the cyclic collector
+    cfg = write_config(tmp_path, schedule=[[4, 40]])
+    argv = ("sweep", "--config", cfg, "--out", tmp_path / "run")
+    assert run_cli(*argv) == 0
+    gc.collect()
+    before = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_cli(*argv) == 0
+        gc.collect()
+        left = [type(o).__qualname__ for o in gc.garbage[before:] if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[before:]
+    assert left == []
 
 
 @pytest.mark.parametrize("command", ["sample", "tyler", "spectrum", "law"])

@@ -525,15 +525,12 @@ def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(real(pid))})
 
 
-def draw_threads(monkeypatch, masks=None):
-    """The threads on which the sweeps' samples are drawn, in draw order; their CPU masks go to
-    ``masks`` if given."""
+def draw_threads(monkeypatch):
+    """The threads on which the sweeps' samples are drawn, in draw order."""
     seen, real = [], harness.sample_population
 
     def spy(*args):
         seen.append(threading.current_thread())
-        if masks is not None:
-            masks.append(os.sched_getaffinity(0))
         return real(*args)
 
     monkeypatch.setattr(harness, "sample_population", spy)
@@ -580,31 +577,44 @@ class TestDrawAhead:
         assert [t.to_json_line() for t in ahead] == [t.to_json_line() for t in inline]
         assert [t.error for t in ahead] == [None] * 4 + ["ValueError: no sample", None]
 
-    def test_the_callers_cpu_mask_is_restored(self, monkeypatch):
-        # during the sweep the caller runs on all but the helper's CPU, the
-        # helper on that one; after it the caller's mask is whole again,
-        # whether the sweep returns or a trial raises
-        cpus, masks, helper_masks, real = os.sched_getaffinity(0), [], [], harness.run_trial
-        seen = draw_threads(monkeypatch, helper_masks)
+    def test_only_the_helper_is_pinned(self, monkeypatch):
+        # every CPU mask a sweep sets, recorded and passed on: drawing ahead, one, the helper's
+        # own, on the thread that draws; the caller's mask stays whole in every trial and
+        # after a sweep that returns or whose trial raises; inline and in a pool, none
+        cpus, pins, masks = os.sched_getaffinity(0), [], []
+        real_pin, real_trial = os.sched_setaffinity, harness.run_trial
+
+        def pin(pid, mask):
+            pins.append((threading.current_thread(), pid, set(mask)))
+            real_pin(pid, mask)
 
         def trial(cfg, i, r, **blocks):
             masks.append(os.sched_getaffinity(0))
             if (i, r) == (1, 1) and raising:
                 raise KeyError("boom")
-            return real(cfg, i, r, **blocks)
+            return real_trial(cfg, i, r, **blocks)
 
+        monkeypatch.setattr(os, "sched_setaffinity", pin)
         monkeypatch.setattr(harness, "run_trial", trial)
+        seen = draw_threads(monkeypatch)
         for raising in (False, True):
-            masks.clear()
+            pins.clear(), masks.clear(), seen.clear()
             if raising:
                 with pytest.raises(KeyError, match="boom"):
                     run_sweep(self.cfg, n_jobs=1)
             else:
                 run_sweep(self.cfg, n_jobs=1)
-            assert masks and all(m == cpus - {max(cpus)} for m in masks)
-            assert helper_masks and all(m == {max(cpus)} for m in helper_masks)
-            assert os.sched_getaffinity(0) == cpus
-        assert not any(t.is_alive() for t in seen)
+            assert seen[0] is not threading.current_thread() and set(seen) == {seen[0]}
+            assert pins == [(seen[0], 0, {max(cpus)})]
+            assert masks and all(m == cpus for m in masks)
+            assert os.sched_getaffinity(0) == cpus and not seen[0].is_alive()
+        pins.clear(), masks.clear()
+        raising = False
+        run_sweep(self.cfg, n_jobs=2)
+        assert len(masks) == 6 and all(m == cpus for m in masks)
+        one_cpu(monkeypatch)
+        run_sweep(self.cfg, n_jobs=1)
+        assert pins == [] and len(masks) == 12
 
     def test_no_helper_thread_outlives_the_sweep(self, monkeypatch):
         before = set(threading.enumerate())
