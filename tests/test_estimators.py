@@ -12,6 +12,7 @@ from tylerlaw import (
     NoConvergenceError,
     PopulationSpec,
     ScaledFRootRadius,
+    _blas,
     estimators,
     sample_covariance,
     sample_population,
@@ -402,6 +403,38 @@ class TestTyler:
         assert not report.converged
         assert report.residual > 1.0
         assert abs(np.trace(report.estimate) - 4) <= 1e-10 * 4
+
+    # (d, n, k, seed) with exactly m = nk/d of n Cauchy-scaled columns in the
+    # first k coordinates: Tyler's existence condition (strict inequality)
+    # fails, so no estimate solves the shape equation, yet each fit reports
+    # converged=True (ROADMAP item 1).  Four draws converge under SkylakeX
+    # kernels but reach the evaluation cap under Haswell or SandyBridge ones;
+    # their outcome depends on the OpenBLAS kernel, so their xfail is not strict
+    @pytest.mark.parametrize(
+        "d, n, k, seed",
+        [
+            pytest.param(d, n, k, seed, marks=pytest.mark.xfail(
+                strict=strict, reason="ROADMAP item 1: converged=True on the existence boundary"))
+            for d, n, k, seed, strict in [
+                (4, 8, 1, 0, True),
+                (4, 8, 1, 1, False),
+                (4, 16, 1, 2, False),
+                (4, 16, 2, 2, False),
+                (16, 64, 1, 0, True),
+                (16, 64, 1, 1, True),
+                (16, 40, 8, 2, False),
+                (64, 256, 1, 0, True),
+                (64, 256, 1, 2, True),
+            ]
+        ],
+    )
+    def test_fails_loudly_on_the_existence_boundary(self, d, n, k, seed):
+        g = np.random.default_rng(seed)
+        X = g.standard_normal((d, n)) * g.standard_cauchy(n)
+        X[k:, : n * k // d] = 0
+        with _blas.one_blas_thread(), pytest.raises((NoConvergenceError, ValueError)) as exc:
+            tyler(X)
+        assert exc.type is NoConvergenceError or str(exc.value).startswith("existence-condition")
 
     def test_no_convergence_on_iteration_cap(self):
         # every cap below the converging count stops at exactly that many
