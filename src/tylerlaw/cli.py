@@ -8,9 +8,8 @@ Subcommands::
 The single stages (sampling, Tyler's fit, spectra, reference laws) are
 library calls, as the README's "Library quick start" shows.
 
-Exit codes: 0 success; 2 config or argument error; 3 numerical failure
-(``trial``'s trial failed, every trial of a ``sweep`` failed, or a
-cross-norm variance overflowed before the slope fit); 4 I/O error.
+Exit codes: 0 success; 2 config or argument error; 3 failed trials
+(``trial``'s trial failed, or every trial of a ``sweep`` failed); 4 I/O error.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ import functools
 import sys
 import time
 
-import numpy as np
-
-from .estimators import NoConvergenceError
 from .harness import (
     ExperimentConfig,
     SweepResult,
@@ -83,11 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:  # numerical failures first: numpy's LinAlgError is a ValueError
+    try:
         return args.func(args)
-    except (NoConvergenceError, OverflowError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

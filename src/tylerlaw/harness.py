@@ -228,14 +228,13 @@ class PairSummary(Record):
 
 @dataclass
 class SweepSummary(Record):
-    """Per-pair aggregates plus the log-variance slope probe."""
+    """Per-pair aggregates and the sweep's trial counts."""
 
     _schema = True
 
     pairs: list[PairSummary]
     total_trials: int
     total_failed: int
-    variance_slope: float | None = None
 
 
 @dataclass
@@ -267,7 +266,6 @@ def _estimator_aggregates(records: list[EstimatorResult]) -> dict:
 def summarize_sweep(cfg: ExperimentConfig, trials: list[TrialResult]) -> SweepSummary:
     """Aggregate per-pair medians/means; failed trials are counted, not pooled."""
     pairs: list[PairSummary] = []
-    var_points: list[tuple[int, float]] = []
     for i, (d, n) in enumerate(cfg.schedule):
         mine = [t for t in trials if t.pair_index == i]
         ok = [t for t in mine if not t.failed]
@@ -282,22 +280,10 @@ def summarize_sweep(cfg: ExperimentConfig, trials: list[TrialResult]) -> SweepSu
             ps.cross_norm_median = float(np.median(crosses))
             ps.cross_norm_mean = float(np.mean(crosses))
             ps.cross_norm_var = float(np.var(crosses, ddof=1)) if crosses.size > 1 else 0.0
-            if crosses.size > 1 and ps.cross_norm_var > 0:
-                var_points.append((d, ps.cross_norm_var))
         pairs.append(ps)
 
-    slope = None
-    if len({d for d, _ in var_points}) >= 2:
-        # the least-squares slope of log var on log d in closed form: a line through
-        # a handful of points needs no LAPACK call
-        x, y = np.log(var_points).T
-        if not np.all(np.isfinite(y)):
-            raise OverflowError(f"variance-overflow: cross-norm variances {[v for _, v in var_points]} not all finite")
-        x -= x.mean()
-        slope = float((x * (y - y.mean())).sum() / (x * x).sum())
-
     failed = sum(1 for t in trials if t.failed)
-    return SweepSummary(pairs=pairs, total_trials=len(trials), total_failed=failed, variance_slope=slope)
+    return SweepSummary(pairs=pairs, total_trials=len(trials), total_failed=failed)
 
 
 def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> SweepResult:

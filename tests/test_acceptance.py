@@ -250,7 +250,8 @@ def test_criterion_8_exploratory_reports(gaussian_sweep):
     )
     probe = run_sweep(cfg, n_jobs=4)
     ks = probe.summary.pairs[0].estimators["tyler"]["ks_median"]
-    slope = gaussian_sweep.summary.variance_slope
+    pairs = gaussian_sweep.summary.pairs
+    slope = np.polyfit(np.log([p.d for p in pairs]), np.log([p.cross_norm_var for p in pairs]), 1)[0]
     assert np.isfinite(ks) and np.isfinite(slope)
     print(
         f"[REPORT] criterion 8 (exploratory, no gate): "

@@ -469,52 +469,6 @@ class TestRunSweep:
         assert peak >= (3 if n_jobs == 1 and DRAWS_AHEAD else 2) * block
         assert returned < block / 4 and raised < block / 4
 
-    def test_variance_slope_reported(self):
-        cfg = small_config(replicates=4)
-        result = run_sweep(cfg)
-        assert result.summary.variance_slope is None or np.isfinite(result.summary.variance_slope)
-        # with two d values and positive variances the probe must be present
-        crosses_vary = all(p.cross_norm_var and p.cross_norm_var > 0 for p in result.summary.pairs)
-        if crosses_vary:
-            assert result.summary.variance_slope is not None
-
-    @staticmethod
-    def cross_norm_sweep(dims, crosses):
-        # a config over the dims and two trials per pair with the given cross norms
-        cfg = small_config(schedule=tuple((d, 10 * d) for d in dims), replicates=2)
-        trials = [
-            TrialResult(pair_index=i, replicate=r, d=d, n=10 * d, seed=0, results={}, cross_norm=c)
-            for i, (d, pair) in enumerate(zip(dims, crosses))
-            for r, c in enumerate(pair)
-        ]
-        return cfg, trials
-
-    def test_variance_slope_rejects_an_overflowed_variance(self):
-        # the variance of (0, 1e300) overflows to inf: the fit must fail loudly,
-        # as a numerical failure, not report a NaN slope
-        cfg, trials = self.cross_norm_sweep((4, 8, 16), [(0.0, 1e300), (0.0, 1.0), (0.0, 2.0)])
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(OverflowError, match="variance-overflow"):
-            summarize_sweep(cfg, trials)
-
-    def test_variance_slope_matches_polyfit(self):
-        # the least-squares slope of log var against log d: np.polyfit's, up to
-        # its roundoff, and the exact slope of the same floats, up to the fit's own
-        from fractions import Fraction
-
-        rng = np.random.default_rng(20)
-        for _ in range(240):
-            dims = tuple(int(d) for d in rng.choice(np.arange(2, 400), size=rng.integers(2, 7), replace=False))
-            crosses = [(0.0, float(c)) for c in np.exp(rng.uniform(-8, 8, size=len(dims)))]
-            cfg, trials = self.cross_norm_sweep(dims, crosses)
-            summary = summarize_sweep(cfg, trials)
-            x, y = np.log(dims), np.log([p.cross_norm_var for p in summary.pairs])
-            slope = np.polyfit(x, y, 1)[0]
-            assert abs(summary.variance_slope - slope) <= 1e-12 * max(1.0, abs(slope))
-            x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
-            dx = [v - sum(x) / len(x) for v in x]
-            exact = float(sum(a * b for a, b in zip(dx, y)) / sum(a * a for a in dx))
-            assert abs(summary.variance_slope - exact) <= 1e-14 * max(1.0, abs(exact))
-
 
 two_cpus = pytest.mark.skipif(not DRAWS_AHEAD, reason="a sweep draws ahead on two CPUs or more")
 

@@ -20,9 +20,7 @@ f2py, ma and polynomial modules (0.25 s and 11-13 MB at start-up).  The other
 modules reach scipy's library only through ``_blas``.
 
 ``dgelss``, the Anderson step's, is the package's one least-squares routine:
-the summary's variance slope is a straight line through a handful of points,
-fitted in closed form with elementwise sums, and no module names another
-least-squares driver.
+no module names another least-squares driver.
 """
 
 import ast
