@@ -469,6 +469,52 @@ class TestRunSweep:
         assert peak >= (3 if n_jobs == 1 and DRAWS_AHEAD else 2) * block
         assert returned < block / 4 and raised < block / 4
 
+    @staticmethod
+    def cross_norm_sweep(dims, crosses):
+        # a config over the dims and one trial per given cross norm at each pair
+        cfg = small_config(schedule=tuple((d, 10 * d) for d in dims), replicates=max(len(c) for c in crosses))
+        trials = [
+            TrialResult(pair_index=i, replicate=r, d=d, n=10 * d, seed=0, results={}, cross_norm=c)
+            for i, (d, pair) in enumerate(zip(dims, crosses))
+            for r, c in enumerate(pair)
+        ]
+        return cfg, trials
+
+    def test_cross_norm_aggregates_are_numpys(self):
+        # the per-pair median, mean and sample variance that criterion 8 and
+        # demo 05 fit their log var against log d slope from
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            dims = tuple(int(d) for d in rng.choice(np.arange(2, 400), size=rng.integers(2, 7), replace=False))
+            crosses = [tuple(float(c) for c in np.exp(rng.uniform(-8, 8, size=rng.integers(2, 6)))) for _ in dims]
+            cfg, trials = self.cross_norm_sweep(dims, crosses)
+            pairs = summarize_sweep(cfg, trials).pairs
+            for p, c in zip(pairs, crosses):
+                assert p.cross_norm_median == float(np.median(c))
+                assert p.cross_norm_mean == float(np.mean(c))
+                assert p.cross_norm_var == float(np.var(c, ddof=1))
+            slope = np.polyfit(np.log(dims), np.log([p.cross_norm_var for p in pairs]), 1)[0]
+            assert np.isfinite(slope)
+
+    def test_an_overflowing_cross_norm_variance_is_inf(self):
+        # the variance of (0, 1e300) overflows: it is recorded as numpy computes
+        # it, inf with its RuntimeWarning, and the other pairs are unaffected
+        cfg, trials = self.cross_norm_sweep((4, 8, 16), [(0.0, 1e300), (0.0, 1.0), (0.0, 2.0)])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            summary = summarize_sweep(cfg, trials)
+        assert [p.cross_norm_var for p in summary.pairs] == [float("inf"), 0.5, 2.0]
+        assert [p.cross_norm_mean for p in summary.pairs] == [5e299, 0.5, 1.0]
+
+    def test_one_cross_norm_has_zero_variance(self):
+        # a pair with one trial carrying a cross norm: trials without one, and
+        # failed trials, are not pooled
+        cfg, trials = self.cross_norm_sweep((4, 8), [(3.0, None, 7.0), (None, None)])
+        trials[2].error = "no-convergence"
+        pairs = summarize_sweep(cfg, trials).pairs
+        assert (pairs[0].cross_norm_median, pairs[0].cross_norm_mean, pairs[0].cross_norm_var) == (3.0, 3.0, 0.0)
+        assert (pairs[1].cross_norm_median, pairs[1].cross_norm_mean, pairs[1].cross_norm_var) == (None, None, None)
+        assert (pairs[0].failed, pairs[1].failed) == (1, 0)
+
 
 two_cpus = pytest.mark.skipif(not DRAWS_AHEAD, reason="a sweep draws ahead on two CPUs or more")
 
